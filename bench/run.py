@@ -30,11 +30,10 @@ OUT = BENCH / "out"
 
 MIN_OPS = 100  # so that at least ten ops lie beyond the 90th percentile
 ROUND = 10  # Monte Carlo ops run in whole rounds of this many
-SETUP_SAMPLES = 5  # set-ups per run: this process and four fresh ones
 TRACE_OPS = 100  # ops of a traced Monte Carlo run, a fixed number so counts repeat
 PATTERN_METRICS = ("c3", "p3", "k13", "p4", "c4")  # one experiments.count.<p>_ms each
-# the keys of workloads.WORKLOADS; that module imports numpy, so it is only
-# imported once graphcensus has been, inside the timed set-up
+# the keys of workloads.WORKLOADS; that module imports numpy and scipy, so it
+# is only imported once graphcensus has been, outside the timed set-up
 WORKLOAD_NAMES = ("mc-cubic", "mc-powerlaw", "mc-fallback", "exact-census")
 
 _now = time.perf_counter
@@ -93,17 +92,45 @@ class CountingRng:
         return getattr(self._rng, name)
 
 
+def program_modules() -> dict:
+    return {n: m for n, m in sys.modules.items() if n == "graphcensus" or n.startswith("graphcensus.")}
+
+
 def timed_setup(workload: str, seed: int, tracer=None):
-    """Seconds to import graphcensus and build the workload, and the workload."""
+    """Seconds to import graphcensus and build the workload, and the workload.
+
+    The traced run installs its tracer before the workload is built.
+    """
     t0 = _now()
     prog = import_program()
+    t1 = _now()
+    from workloads import WORKLOADS  # the benchmark's own module, not timed
+
     if tracer is not None:
         install_tracer(tracer, prog)
-    from workloads import WORKLOADS
-
     cls = WORKLOADS[workload]
+    t2 = _now()
     wl = tracer.call("setup", cls, prog, seed) if tracer is not None else cls(prog, seed)
-    return _now() - t0, wl
+    return t1 - t0 + _now() - t2, wl
+
+
+def repeat_setup(workload: str, seed: int) -> float:
+    """Time one more set-up in this process and throw it away.
+
+    The graphcensus modules are dropped from sys.modules first, so the
+    import runs them again and their memos start empty; then the run's own
+    modules are put back.  Unlike the run's first set-up, this one does not
+    import numpy.
+    """
+    own = program_modules()
+    for name in own:
+        del sys.modules[name]
+    seconds, _ = timed_setup(workload, seed)
+    for name in program_modules():
+        del sys.modules[name]
+    sys.modules.update(own)
+    gc.collect()
+    return seconds
 
 
 def run_child(args, *extra) -> dict:
@@ -116,16 +143,20 @@ def run_child(args, *extra) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def measure(wl, seconds: float, fixed_ops: int | None, tracer=None):
+def measure(wl, seconds: float, fixed_ops: int | None, tracer=None, setup=None):
     """Run whole rounds of ops.
 
     Returns the ms of each op that passed its checks, the seconds spent in
-    ops (checks excluded), the number of ops attempted, and the errors of
-    each failed op.
+    ops (checks excluded), the number of ops attempted, the errors of each
+    failed op, and the seconds of each call of ``setup``.  ``setup``, when
+    given, is called after every ``wl.setup_every`` ops, so that set-up is
+    sampled across the run as the ops are.  A fixed op count, not a time,
+    places the calls, so the run's allocations and garbage collections
+    follow the same order on every run of a seed.
     """
     exact = wl.one_pass
     rounds_of = len(wl.queries) if exact else ROUND
-    op_ms, busy, errors = [], 0.0, {}
+    op_ms, busy, errors, setups = [], 0.0, {}, []
     i = 0
     while True:
         for _ in range(rounds_of):
@@ -140,18 +171,19 @@ def measure(wl, seconds: float, fixed_ops: int | None, tracer=None):
             except Exception as exc:  # a failing op is counted, not fatal
                 busy += _now() - t0
                 errors[i] = [f"raised {type(exc).__name__}: {exc}"]
-                i += 1
-                continue
-            dt = _now() - t0
-            busy += dt
-            bad = wl.check(i, result)
-            if tracer is not None and not exact:
-                bad += wl.pattern_calls(tracer, result)
-            if bad:
-                errors[i] = bad
             else:
-                op_ms.append(1e3 * dt)
+                dt = _now() - t0
+                busy += dt
+                bad = wl.check(i, result)
+                if tracer is not None and not exact:
+                    bad += wl.pattern_calls(tracer, result)
+                if bad:
+                    errors[i] = bad
+                else:
+                    op_ms.append(1e3 * dt)
             i += 1
+            if setup is not None and i % wl.setup_every == 0:
+                setups.append(setup())
         if exact:
             break
         if fixed_ops is not None:
@@ -159,7 +191,7 @@ def measure(wl, seconds: float, fixed_ops: int | None, tracer=None):
                 break
         elif busy >= seconds and i >= MIN_OPS:
             break
-    return op_ms, busy, i, errors
+    return op_ms, busy, i, errors, setups
 
 
 def quantile90(values):
@@ -221,7 +253,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=25.0, help="op time to measure (Monte Carlo workloads)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--ops", type=int, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not (SRC / "graphcensus" / "__init__.py").is_file():
@@ -229,27 +260,20 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
 
-    if args.setup_probe:
-        setup_s, _ = timed_setup(args.workload, args.seed)
-        print(json.dumps({"setup_s": setup_s}))
-        return 0
-
     tracer = Tracer() if args.trace else None
     setup_s, wl = timed_setup(args.workload, args.seed, tracer)
     if tracer is not None:
         tracer.counts.clear()  # counts are per measured op; set-up keeps its spans
-    elif args.ops is None:
-        probes = [run_child(args, "--setup-probe")["setup_s"] for _ in range(SETUP_SAMPLES - 1)]
-        setup_s = statistics.median([setup_s, *probes])
     fixed_ops = args.ops if args.ops is not None else (TRACE_OPS if tracer is not None else None)
-    op_ms, busy, attempted, errors = measure(wl, args.seconds, fixed_ops, tracer)
+    setup = None if tracer is not None else (lambda: repeat_setup(args.workload, args.seed))
+    op_ms, busy, attempted, errors, setups = measure(wl, args.seconds, fixed_ops, tracer, setup)
+    setup_s = statistics.median([setup_s, *setups])
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if tracer is not None:
         tracer.restore()
     for i, errs in wl.final_errors().items():
         errors.setdefault(i, []).extend(errs)
     missed = wl.self_test()
-    wrong = [i for i, errs in errors.items() if not errs[0].startswith("raised ")]
     for i in sorted(errors)[:10]:
         print(f"bench: op {i} failed: {'; '.join(errors[i])}", file=sys.stderr)
     for name in missed:
@@ -269,7 +293,7 @@ def main(argv=None) -> int:
         print(f"{args.workload:13s} {name:34s} {value:14.4f} {unit}")
     print(f"{args.workload:13s} ops attempted {attempted}, failed {len(errors)}")
     print(json.dumps({
-        "correct": not missed and not wrong and bool(op_ms),
+        "correct": not missed and not errors,
         "attempted": attempted,
         "failed": len(errors),
         "metrics": {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()},
