@@ -6,27 +6,39 @@ Replicates are independent; replicate r derives its RNG stream from
 seed) regardless of the worker count (the wall-clock runtime field is the
 one exception and is excluded from comparisons).
 
-Copy counting in sampled hosts uses specialized counters (degree scans for
-loops, pair-multiplicity binomials for parallel edges, neighbor merges for
-triangles and short cycles); the generic backtracking engine is the
-fallback for exotic patterns and dominates runtime on large hosts.
+Copies in sampled hosts are counted by one engine over numpy arrays of the
+host: each builtin shape with simple pattern edges is a Moebius-weighted sum
+of homomorphism counts of its quotients, evaluated by vertex elimination.
+``loop`` and ``double-edge`` are direct sums over the host's pairs; only
+``k4`` and pattern graphs given as values use the backtracking
+``graphs.subgraph_count``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, permutations
 
 import numpy as np
 
 from . import predictors
-from .graphs import Graph, Multigraph, SimpleGraph, shape, subgraph_count
+from .graphs import (
+    Graph,
+    Multigraph,
+    is_isomorphic,
+    shape,
+    subgraph_count,
+    vertex_automorphisms,
+)
 from .models import (
     DegreeDistribution,
     WeightSpec,
@@ -41,196 +53,314 @@ from .specialfuncs import chi_square_survival, poisson_pmf
 
 
 # ---------------------------------------------------------------------------
-# fast copy counters
+# copy counting
 #
-# All multigraph counters run off one shared per-host structure: the unique
-# non-loop endpoint pairs with their parallel multiplicities (numpy arrays)
-# plus per-vertex multiplicity power sums.  Power sums stay below 2^53, so
-# the float bincounts are exact.
+# One engine counts every builtin shape F with simple pattern edges.  With M
+# the host's pair-multiplicity matrix (zero diagonal, loops dropped), the
+# copy count is the sum over injective maps V(F) -> V(G) of the product of M
+# over F's edges, divided by F's vertex automorphisms; a pattern edge picks
+# one of the M[a, b] parallel host edges.  Moebius inversion over the set
+# partitions of V(F) turns the injective sum into a weighted sum of
+# homomorphism counts of F's quotients, its spasm (Curticapean, Dell and
+# Marx, "Homomorphisms are a good basis for counting small subgraphs",
+# STOC 2017).  A quotient edge onto which k pattern edges fall weighs M^k.
+# Homomorphism counts are summed by eliminating quotient vertices over numpy
+# arrays of the host; a remaining triangle is closed over degree-ordered
+# wedges (Latapy, TCS 2008).  All sums are exact: int64 while a bound on
+# every partial sum stays below 2^63, Python ints (dtype=object) past it.
 
 
-class _HostStats:
-    __slots__ = ("n", "n_loops", "pu", "pv", "pk", "s1", "s2", "s3", "_adj")
+class _Host:
+    """One host as arrays over vertices 0..n (0 unused).
 
-    def __init__(self, g: Multigraph):
-        n = g.n
-        seq = np.array(g.edge_seq, dtype=np.int64)
-        u = seq[0::2]
-        v = seq[1::2]
-        loops = u == v
-        self.n = n
-        self.n_loops = int(loops.sum())
-        lo = np.minimum(u[~loops], v[~loops])
-        hi = np.maximum(u[~loops], v[~loops])
-        codes, k = np.unique(lo * (n + 1) + hi, return_counts=True)
-        self.pu = (codes // (n + 1)).astype(np.int64)
-        self.pv = (codes % (n + 1)).astype(np.int64)
-        self.pk = k.astype(np.int64)
-        kf = k.astype(float)
-        self.s1 = np.bincount(self.pu, weights=kf, minlength=n + 1)
-        self.s1 += np.bincount(self.pv, weights=kf, minlength=n + 1)
-        self.s2 = np.bincount(self.pu, weights=kf**2, minlength=n + 1)
-        self.s2 += np.bincount(self.pv, weights=kf**2, minlength=n + 1)
-        self.s3 = np.bincount(self.pu, weights=kf**3, minlength=n + 1)
-        self.s3 += np.bincount(self.pv, weights=kf**3, minlength=n + 1)
-        self._adj = None
-
-    @property
-    def adj(self) -> dict[int, dict[int, int]]:
-        if self._adj is None:
-            adj: dict[int, dict[int, int]] = {}
-            for u, v, k in zip(self.pu.tolist(), self.pv.tolist(), self.pk.tolist()):
-                adj.setdefault(u, {})[v] = k
-                adj.setdefault(v, {})[u] = k
-            self._adj = adj
-        return self._adj
-
-
-def _stats(g: Multigraph) -> _HostStats:
-    return _HostStats(g)
-
-
-def count_loops(g: Multigraph) -> int:
-    seq = g.edge_seq
-    return sum(1 for j in range(0, len(seq), 2) if seq[j] == seq[j + 1])
-
-
-def count_parallel_pairs(g: Multigraph, stats: _HostStats | None = None) -> int:
-    """Copies of the double edge: unordered pairs of parallel non-loop edges."""
-    st = stats or _stats(g)
-    k = st.pk
-    return int((k * (k - 1) // 2).sum())
-
-
-def count_paths3_multi(g: Multigraph, stats: _HostStats | None = None) -> int:
-    """Copies of the 3-vertex path: a center with two distinct neighbors."""
-    st = stats or _stats(g)
-    return int(round(float((st.s1**2 - st.s2).sum()) / 2))
-
-
-def count_stars3_multi(g: Multigraph, stats: _HostStats | None = None) -> int:
-    """Copies of the 3-leaf star via the elementary symmetric e3 per vertex."""
-    st = stats or _stats(g)
-    e3 = st.s1**3 - 3 * st.s1 * st.s2 + 2 * st.s3
-    return int(round(float(e3.sum()) / 6))
-
-
-def count_triangles_multi(g: Multigraph, stats: _HostStats | None = None) -> int:
-    """Copies of the 3-cycle: sum over triples of the multiplicity product.
-
-    Each unordered triangle is seen from its three edges, iterating the
-    shorter endpoint neighborhood, so the total is divided by 3.
+    The unique non-loop pairs pu < pv, with multiplicity pk, are coded
+    ``pu * N + pv`` (N = n + 1) in sorted ``codes``; ``sym`` holds every pair
+    in both orientations, sorted, with ``mult`` alongside; ``s1`` is each
+    vertex's number of non-loop edge ends.
     """
-    st = stats or _stats(g)
-    adj = st.adj
-    acc = 0
-    for u, v, k in zip(st.pu.tolist(), st.pv.tolist(), st.pk.tolist()):
-        nu, nv = adj[u], adj[v]
-        if len(nv) < len(nu):
-            nu, nv = nv, nu
-            u, v = v, u
-        for w, kw in nu.items():
-            if w == v or w == u:
-                continue
-            other = nv.get(w)
-            if other:
-                acc += k * kw * other
-    assert acc % 3 == 0
-    return acc // 3
+
+    def __init__(self, g: Graph):
+        self.kind = g.kind
+        self.n = g.n
+        N = self.N = g.n + 1
+        if isinstance(g, Multigraph):
+            ends = np.array(g.edge_seq, dtype=np.int64)
+            u, v = ends[0::2], ends[1::2]
+            keep = u != v
+            self.loops = int(u.size - keep.sum())
+            u, v = u[keep], v[keep]
+            self.codes, pk = np.unique(np.minimum(u, v) * N + np.maximum(u, v), return_counts=True)
+        else:
+            ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
+            u, v = ends[0::2], ends[1::2]
+            self.loops = 0
+            self.codes = np.sort(u * N + v)
+            pk = np.ones(self.codes.size, dtype=np.int64)
+        self.pk = pk.astype(np.int64)
+        self.pu, self.pv = np.divmod(self.codes, N)
+        self.s1 = np.bincount(np.concatenate((u, v)), minlength=N)
+        sym = np.concatenate((self.codes, self.pv * N + self.pu))
+        order = np.argsort(sym)
+        self.sym = sym[order]
+        self.mult = np.concatenate((self.pk, self.pk))[order]
+        self._memo: dict = {}
+
+    def edge(self, k: int, dtype) -> tuple:
+        """The factor M^k over ``sym``: (codes, values)."""
+        key = ("edge", k, dtype)
+        if key not in self._memo:
+            self._memo[key] = (self.sym, self.mult.astype(dtype) ** k)
+        return self._memo[key]
+
+    def power_sum(self, k: int, dtype) -> np.ndarray:
+        """Per-vertex sum over neighbours b of M[a, b]^k."""
+        key = ("sum", k, dtype)
+        if key not in self._memo:
+            out = np.zeros(self.N, dtype=dtype)
+            np.add.at(out, self.sym // self.N, self.edge(k, dtype)[1])
+            self._memo[key] = out
+        return self._memo[key]
+
+    def triangles(self) -> tuple:
+        """Every triangle once, as vertex arrays x, y, z and multiplicities
+        of xy, xz, yz.
+
+        Pairs point from lower (s1, id) to higher; a triangle is found once,
+        at its lowest vertex, from the wedge of its two out-pairs there.
+        """
+        if "tri" not in self._memo:
+            N = self.N
+            rank = np.empty(N, dtype=np.int64)
+            rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
+            up = rank[self.pu] < rank[self.pv]
+            x = np.where(up, self.pu, self.pv)
+            y = np.where(up, self.pv, self.pu)
+            order = np.argsort(x, kind="stable")
+            x, y, k = x[order], y[order], self.pk[order]
+            later = np.searchsorted(x, x, side="right") - np.arange(x.size) - 1
+            i = np.repeat(np.arange(x.size), later)
+            j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+            b, c = y[i], y[j]
+            want = np.minimum(b, c) * N + np.maximum(b, c)
+            pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
+            hit = self.codes[pos] == want
+            self._memo["tri"] = (x[i][hit], b[hit], c[hit], k[i][hit], k[j][hit], self.pk[pos][hit])
+        return self._memo["tri"]
 
 
-def count_cycles_multi(g: Multigraph, length: int, stats: _HostStats | None = None) -> int:
-    """Copies of the length-l cycle (l <= 8) by DFS from the smallest vertex."""
-    if length == 1:
-        return count_loops(g)
-    if length == 2:
-        return count_parallel_pairs(g, stats)
-    if length == 3:
-        return count_triangles_multi(g, stats)
-    if length > 8:
-        raise ValueError("cycle counter capped at length 8")
-    adj = (stats or _stats(g)).adj
+def _set_partitions(n: int):
+    """Block index of each of n items, once per set partition."""
+    if n == 0:
+        yield ()
+        return
+    for head in _set_partitions(n - 1):
+        for b in range(max(head, default=-1) + 2):
+            yield head + (b,)
+
+
+@functools.lru_cache(maxsize=None)
+def _spasm(name: str, kind: str) -> tuple:
+    """(vertex automorphisms, edge count, [(coefficient, q, quotient edges)]).
+
+    Quotient vertices are 0..q-1 and its edges (x, y, k) with x < y carry
+    the number k of pattern edges that land on them.  Quotients with a loop
+    are dropped (M has a zero diagonal); isomorphic quotients are merged,
+    summing their Moebius weights prod over blocks of (-1)^(s-1) (s-1)!.
+    """
+    f = shape(name, kind)
+    pairs = list(f.pair_multiplicities())
+    classes: list[list] = []  # [coefficient, quotient Multigraph, q, edges]
+    for blocks in _set_partitions(f.n):
+        if any(blocks[a - 1] == blocks[b - 1] for a, b in pairs):
+            continue
+        sizes = Counter(blocks).values()
+        coef = math.prod((-1) ** (s - 1) * math.factorial(s - 1) for s in sizes)
+        merged = Counter(tuple(sorted((blocks[a - 1], blocks[b - 1]))) for a, b in pairs)
+        edges = tuple((x, y, k) for (x, y), k in sorted(merged.items()))
+        quotient = Multigraph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
+        for c in classes:
+            if is_isomorphic(c[1], quotient):
+                c[0] += coef
+                break
+        else:
+            classes.append([coef, quotient, len(sizes), edges])
+    basis = tuple((coef, q, edges) for coef, _, q, edges in classes if coef)
+    return vertex_automorphisms(f), f.m, basis
+
+
+def _oriented(factor, N: int, first: bool):
+    """(x-side, y-side, values) of a factor stored for the pair (x, y) if
+    ``first``, else for (y, x); sorted by the x-side when ``first`` or when
+    the factor is a symmetric M^k."""
+    codes, vals, k = factor
+    hi, lo = np.divmod(codes, N)
+    return (hi, lo, vals) if first or k is not None else (lo, hi, vals)
+
+
+def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
+    """Homomorphism count of a connected quotient, weighted by M^k per edge.
+
+    Each quotient vertex x carries a vector w[x] over host vertices (None
+    for all ones) and each quotient edge x < y a factor (codes, values, k):
+    sparse values over host pairs coded a * N + b, with k set while the
+    factor is still M^k itself.  A leaf folds into its neighbour's vector;
+    a degree-2 vertex becomes a factor over the walks through it, multiplied
+    into any factor already on that pair; a triangle of M^k factors closes
+    over the host's triangles.
+    """
+    N = host.N
+    w: list = [None] * q
+    fac = {(x, y): (*host.edge(k, dtype), k) for x, y, k in edges}
+    alive = set(range(q))
+    while len(alive) > 1:
+        nbrs: dict[int, list[int]] = {x: [] for x in alive}
+        for x, y in fac:
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+        x = min(alive, key=lambda v: (len(nbrs[v]), v))
+        if len(nbrs[x]) == 1:
+            y = nbrs[x][0]
+            factor = fac.pop((min(x, y), max(x, y)))
+            if w[x] is None and factor[2] is not None:
+                folded = host.power_sum(factor[2], dtype)
+            else:
+                xs, ys, vals = _oriented(factor, N, x < y)
+                folded = np.zeros(N, dtype=dtype)
+                np.add.at(folded, ys, vals if w[x] is None else vals * w[x][xs])
+            w[y] = folded if w[y] is None else w[y] * folded
+            alive.remove(x)
+            continue
+        if len(alive) == 3 and all(f[2] is not None for f in fac.values()):
+            return _close_triangle(host, sorted(alive), fac, w, dtype)
+        if len(nbrs[x]) > 2:
+            return _backtrack(alive, nbrs, fac, w, N)
+        x = min(
+            (v for v in alive if len(nbrs[v]) == 2),
+            key=lambda v: math.prod(fac[min(v, y), max(v, y)][0].size for y in nbrs[v]),
+        )
+        y, z = sorted(nbrs[x])
+        xy, xz = fac.pop((min(x, y), max(x, y))), fac.pop((min(x, z), max(x, z)))
+        a1, b, v1 = _oriented(xy, N, x < y)
+        a2, c, v2 = _oriented(xz, N, x < z)
+        if x > z and xz[2] is None:
+            order = np.argsort(a2, kind="stable")
+            a2, c, v2 = a2[order], c[order], v2[order]
+        per = np.bincount(a2, minlength=N)
+        reps = per[a1]
+        i = np.repeat(np.arange(a1.size), reps)
+        j = (np.cumsum(per) - per)[a1[i]] + np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        vals = v1[i] * v2[j]
+        if w[x] is not None:
+            vals = vals * w[x][a1[i]]
+        codes, where = np.unique(b[i] * N + c[j], return_inverse=True)
+        summed = np.zeros(codes.size, dtype=dtype)
+        np.add.at(summed, where, vals)
+        alive.remove(x)
+        # each other bare vertex between y and z under the same M^k factors
+        # would give the same walk factor: multiply it in once more instead
+        if w[x] is None and xy[2] is not None and xz[2] is not None:
+            walk = summed
+            for v in [v for v in alive if sorted(nbrs[v]) == [y, z] and w[v] is None]:
+                if (fac[min(v, y), max(v, y)][2], fac[min(v, z), max(v, z)][2]) == (xy[2], xz[2]):
+                    del fac[min(v, y), max(v, y)], fac[min(v, z), max(v, z)]
+                    alive.remove(v)
+                    summed = summed * walk
+        if (y, z) in fac:
+            old_codes, old_vals, _ = fac[y, z]
+            codes, i1, i2 = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
+            summed = summed[i1] * old_vals[i2]
+        fac[y, z] = (codes, summed, None)
+    (x,) = alive
+    return int(w[x].sum())
+
+
+def _close_triangle(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
+    """Sum over the 6 ways to lay the quotient triangle on each host triangle."""
+    tx, ty, tz, mxy, mxz, myz = host.triangles()
+    at = (tx, ty, tz)
+    mult = {(0, 1): mxy.astype(dtype), (0, 2): mxz.astype(dtype), (1, 2): myz.astype(dtype)}
     total = 0
-
-    def dfs(start: int, current: int, depth: int, weight: int, visited: set):
-        nonlocal total
-        if depth == length - 1:
-            k = adj[current].get(start, 0)
-            if k:
-                total += weight * k
-            return
-        for nxt, k in adj[current].items():
-            if nxt > start and nxt not in visited:
-                visited.add(nxt)
-                dfs(start, nxt, depth + 1, weight * k, visited)
-                visited.remove(nxt)
-
-    for start in adj:
-        dfs(start, start, 0, 1, {start})
-    return total // 2
-
-
-def count_triangles_simple(g: SimpleGraph) -> int:
-    adj: dict[int, set[int]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    total = 0
-    for u, v in g.edges:
-        a, b = adj[u], adj[v]
-        if len(b) < len(a):
-            a, b = b, a
-        for w in a:
-            if w > v and w > u and w in b:
-                total += 1
+    for perm in permutations(range(3)):
+        term = np.ones(tx.size, dtype=dtype)
+        for (x, y), (_, _, k) in fac.items():
+            i, j = sorted((perm[verts.index(x)], perm[verts.index(y)]))
+            term = term * mult[i, j] ** k
+        for pos, x in enumerate(verts):
+            if w[x] is not None:
+                term = term * w[x][at[perm[pos]]]
+        total += int(term.sum())
     return total
 
 
-def _count_with_stats(g: Graph, pattern, stats: _HostStats | None) -> int:
+def _backtrack(alive: set, nbrs: dict, fac: dict, w: list, N: int) -> int:
+    """Plain backtracking over a core of minimum degree 3, the one case the
+    elimination leaves (among builtin shapes, c8's quotients onto K4)."""
+    look: dict = {}  # (x, y) -> host a -> host b -> factor value
+    for (x, y), factor in fac.items():
+        xs, ys, vals = _oriented(factor, N, True)
+        fwd, rev = look[x, y], look[y, x] = {}, {}
+        for a, b, val in zip(xs.tolist(), ys.tolist(), vals.tolist()):
+            fwd.setdefault(a, {})[b] = val
+            rev.setdefault(b, {})[a] = val
+    order = [min(alive)]
+    while len(order) < len(alive):
+        order.append(min(v for v in alive - set(order) if any(u in order for u in nbrs[v])))
+    placed: dict[int, int] = {}
+
+    def extend(i: int, acc: int) -> int:
+        if i == len(order):
+            return acc
+        x = order[i]
+        back = [y for y in nbrs[x] if y in placed]
+        candidates = look[back[0], x].get(placed[back[0]], {}) if back else look[x, nbrs[x][0]]
+        total = 0
+        for a in candidates:
+            t = acc if w[x] is None else acc * int(w[x][a])
+            for y in back:
+                t *= look[y, x].get(placed[y], {}).get(a, 0)
+            if t:
+                placed[x] = a
+                total += extend(i + 1, t)
+                del placed[x]
+        return total
+
+    return extend(0, 1)
+
+
+def _count(host: _Host, g: Graph, pattern) -> int:
     if not isinstance(pattern, str):
         return subgraph_count(g, pattern)
-    if isinstance(g, Multigraph):
-        if pattern == "loop":
-            return count_loops(g)
-        if pattern == "edge":
-            return g.m - count_loops(g)
-        if pattern == "double-edge":
-            return count_parallel_pairs(g, stats)
-        if pattern == "p3":
-            return count_paths3_multi(g, stats)
-        if pattern == "k13":
-            return count_stars3_multi(g, stats)
-        if pattern.startswith("c") and pattern[1:].isdigit():
-            return count_cycles_multi(g, int(pattern[1:]), stats)
-        return subgraph_count(g, shape(pattern, "multigraph"))
-    if pattern == "edge":
-        return g.m
-    if pattern == "p3":
-        return sum(math.comb(d, 2) for d in g.degrees())
-    if pattern == "k13":
-        return sum(math.comb(d, 3) for d in g.degrees())
-    if pattern == "c3":
-        return count_triangles_simple(g)
-    return subgraph_count(g, shape(pattern, "simple"))
-
-
-_STATS_PATTERNS = {"double-edge", "p3", "k13"}
+    if host.kind == "multigraph" and pattern == "loop":
+        return host.loops
+    if host.kind == "multigraph" and pattern == "double-edge":
+        return int((host.pk * (host.pk - 1) // 2).sum())
+    if pattern == "k4":
+        return subgraph_count(g, shape(pattern, host.kind))
+    aut, n_edges, basis = _spasm(pattern, host.kind)
+    # summing outward from the root of a spanning tree of a quotient bounds
+    # every partial sum of its homomorphism count by n * max(s1)^E
+    big = host.n * int(host.s1.max(initial=0)) ** n_edges >= 2**63
+    dtype = object if big else np.int64
+    total = sum(coef * _hom(host, q, edges, dtype) for coef, q, edges in basis)
+    copies, rest = divmod(total, aut)
+    assert rest == 0
+    return copies
 
 
 def count_pattern(g: Graph, pattern) -> int:
-    """Copy count with fast paths; falls back to the generic engine."""
-    return _count_with_stats(g, pattern, None)
+    """Copies of a builtin shape (by name) or of a pattern graph in g."""
+    return count_patterns(g, [pattern])[0]
 
 
 def count_patterns(g: Graph, patterns: list) -> tuple[int, ...]:
-    """Count several patterns on one host, sharing the host structure."""
-    stats = None
-    if isinstance(g, Multigraph) and any(
-        isinstance(p, str) and (p in _STATS_PATTERNS or (p.startswith("c") and p[1:].isdigit()))
-        for p in patterns
-    ):
-        stats = _stats(g)
-    return tuple(_count_with_stats(g, p, stats) for p in patterns)
+    """Count several patterns on one host, sharing its array form.
+
+    ``loop`` and ``double-edge`` are sums over the host's pairs, ``k4`` and
+    pattern graphs go to the backtracking ``subgraph_count``, and every
+    other builtin shape to the homomorphism-basis engine.
+    """
+    host = _Host(g)
+    return tuple(_count(host, g, p) for p in patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +433,16 @@ def two_sample_chi_square(counts_a: dict, counts_b: dict) -> tuple[float, int, f
 
 
 def median_of_means(values, buckets: int) -> float:
-    """Median of bucket means over a replicate-ordered value list."""
+    """Median of bucket means over a replicate-ordered value list.
+
+    The values are cut into ``buckets`` contiguous buckets whose sizes
+    differ by at most one, so every value lands in some bucket.
+    """
     values = list(values)
     if buckets < 1 or len(values) < buckets:
         raise ValueError("need at least one value per bucket")
-    size = len(values) // buckets
-    ms = sorted(
-        sum(values[i * size : (i + 1) * size]) / size for i in range(buckets)
-    )
+    cuts = [i * len(values) // buckets for i in range(buckets + 1)]
+    ms = sorted(sum(values[lo:hi]) / (hi - lo) for lo, hi in zip(cuts, cuts[1:]))
     mid = buckets // 2
     return ms[mid] if buckets % 2 == 1 else 0.5 * (ms[mid - 1] + ms[mid])
 

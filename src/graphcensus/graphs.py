@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Union
+from typing import Iterable
 
 
 class SizeCapError(ValueError):
@@ -153,7 +153,7 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-Graph = Union[Multigraph, SimpleGraph]
+Graph = Multigraph | SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -853,6 +853,9 @@ _MULTI_SHAPES = {
     "c3": lambda: cycle_multi(3),
     "c4": lambda: cycle_multi(4),
     "c5": lambda: cycle_multi(5),
+    "c6": lambda: cycle_multi(6),
+    "c7": lambda: cycle_multi(7),
+    "c8": lambda: cycle_multi(8),
     "k13": lambda: star_multi(3),
 }
 
@@ -863,6 +866,9 @@ _SIMPLE_SHAPES = {
     "c3": lambda: cycle_simple(3),
     "c4": lambda: cycle_simple(4),
     "c5": lambda: cycle_simple(5),
+    "c6": lambda: cycle_simple(6),
+    "c7": lambda: cycle_simple(7),
+    "c8": lambda: cycle_simple(8),
     "k4": lambda: complete_simple(4),
     "k13": lambda: star_simple(3),
 }

@@ -6,44 +6,82 @@ import pytest
 
 from graphcensus import experiments as E
 from graphcensus import graphs as G
+from graphcensus import oracle as O
 from graphcensus.experiments import ExperimentConfig
 from graphcensus.models import derive_rng, sample_uniform_multigraph, sample_uniform_simple
 from graphcensus.specialfuncs import poisson_pmf
 
 
+MULTI_NAMES = ["loop", "edge", "double-edge", "p3", "p4", "k13", "c3", "c4", "c5", "c6", "c7", "c8"]
+SIMPLE_NAMES = ["edge", "p3", "p4", "k13", "c3", "c4", "c5", "c6", "c7", "c8"]
+
+
+def _multigraph_with_hub(rng) -> G.Multigraph:
+    """A small uniform multigraph plus a hub, vertex 1, with parallel edges."""
+    n = int(rng.integers(2, 8))
+    seq = list(sample_uniform_multigraph(n, int(rng.integers(0, 8)), rng).edge_seq)
+    for _ in range(int(rng.integers(0, 5))):
+        seq += [1, int(rng.integers(2, n + 1))] * int(rng.integers(1, 4))
+    return G.Multigraph(n, seq)
+
+
+def _simple_with_hub(rng) -> G.SimpleGraph:
+    """A small uniform simple graph plus a hub, vertex 1, joined to a random set."""
+    n = int(rng.integers(3, 9))
+    g = sample_uniform_simple(n, int(rng.integers(0, math.comb(n, 2) + 1)), rng)
+    spokes = [(1, v) for v in range(2, n + 1) if rng.random() < 0.7]
+    return G.SimpleGraph(n, list(g.edges) + spokes)
+
+
 def test_counters_match_generic_engine():
     rng = derive_rng(11, 0)
     for _ in range(80):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(0, 7))
-        g = sample_uniform_multigraph(n, m, rng)
-        expected = tuple(
-            G.subgraph_count(g, f)
-            for f in (
-                G.loop(),
-                G.edge_multi(),
-                G.double_edge(),
-                G.path_multi(3),
-                G.star_multi(3),
-                G.cycle_multi(3),
-                G.cycle_multi(4),
-                G.cycle_multi(5),
-            )
-        )
-        got = E.count_patterns(g, ["loop", "edge", "double-edge", "p3", "k13", "c3", "c4", "c5"])
-        assert got == expected, g
+        g = _multigraph_with_hub(rng)
+        expected = tuple(G.subgraph_count(g, G.shape(p, "multigraph")) for p in MULTI_NAMES)
+        assert E.count_patterns(g, MULTI_NAMES) == expected, g
 
 
 def test_simple_counters_match_engine():
     rng = derive_rng(13, 0)
-    for _ in range(50):
-        n = int(rng.integers(3, 8))
-        m = int(rng.integers(0, math.comb(n, 2) + 1))
-        g = sample_uniform_simple(n, m, rng)
-        assert E.count_pattern(g, "c3") == G.subgraph_count(g, G.cycle_simple(3))
-        assert E.count_pattern(g, "p3") == G.subgraph_count(g, G.path_simple(3))
-        assert E.count_pattern(g, "k13") == G.subgraph_count(g, G.star_simple(3))
+    names = SIMPLE_NAMES + ["k4"]
+    for _ in range(60):
+        g = _simple_with_hub(rng)
+        expected = tuple(G.subgraph_count(g, G.shape(p, "simple")) for p in names)
+        assert E.count_patterns(g, names) == expected, g
         assert E.count_pattern(g, "edge") == g.m
+
+
+def test_counters_match_naive_oracle():
+    rng = derive_rng(17, 0)
+    for _ in range(6):
+        g = G.Multigraph(4, sample_uniform_multigraph(4, 6, rng).edge_seq + (1, 2, 1, 2, 1, 3))
+        for p in MULTI_NAMES:
+            f = G.shape(p, "multigraph")
+            if f.n <= g.n:
+                assert E.count_pattern(g, p) == O.naive_subgraph_count(g, f), (g, p)
+        h = _simple_with_hub(rng)
+        for p in ("p3", "p4", "k13", "c3", "c4", "c5"):
+            assert E.count_pattern(h, p) == O.naive_subgraph_count(h, G.shape(p, "simple")), (h, p)
+
+
+def test_simple_c6_is_a_shape():
+    g = sample_uniform_simple(20, 30, derive_rng(5, 0))
+    assert E.count_pattern(g, "c6") == G.subgraph_count(g, G.cycle_simple(6))
+    with pytest.raises(ValueError):
+        E.count_pattern(g, "loop")
+
+
+def test_counts_are_exact_past_float_precision():
+    # a star centre with pair multiplicities whose product needs 51 bits:
+    # float power sums round the e3 formula, the copy count is the product
+    k = (262147, 131071, 65537)
+    g = G.Multigraph(4, [1, 2] * k[0] + [1, 3] * k[1] + [1, 4] * k[2])
+    assert E.count_pattern(g, "k13") == k[0] * k[1] * k[2]
+    assert E.count_pattern(g, "p3") == k[0] * k[1] + k[0] * k[2] + k[1] * k[2]
+    # a heavy 4-cycle whose count passes 2^63, so int64 sums would wrap
+    k = (65537, 65539, 65543, 65551)
+    g = G.Multigraph(4, [1, 2] * k[0] + [2, 3] * k[1] + [3, 4] * k[2] + [4, 1] * k[3])
+    assert E.count_pattern(g, "c4") == k[0] * k[1] * k[2] * k[3] > 2**63
 
 
 def test_tv_distance():
@@ -70,6 +108,10 @@ def test_scaling_fit():
 def test_median_of_means():
     assert E.median_of_means([1, 2, 3, 4], 2) == 2.5
     assert E.median_of_means(list(range(16)), 16) == 7.5
+    # buckets of 3, 3 and 4 values: the last value is used
+    assert E.median_of_means(range(1, 11), 3) == 5.0
+    assert E.median_of_means(list(range(1, 10)) + [-1000], 3) == 2.0
+    assert E.median_of_means(range(1, 11), 4) == (4 + 6.5) / 2
 
 
 def test_trivial_pmf():

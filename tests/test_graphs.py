@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -203,3 +207,23 @@ def test_immutability():
     s = G.cycle_simple(3)
     with pytest.raises(AttributeError):
         s.edges = frozenset()
+
+
+def test_reimport_releases_old_module():
+    # a module-level alias cached outside the module (as typing.Union[...]
+    # is) would keep every re-imported graphs module and its classes alive
+    code = "\n".join([
+        "import gc, sys, weakref",
+        "import graphcensus.graphs",
+        "old = weakref.ref(graphcensus.graphs.Multigraph)",
+        "for _ in range(3):",
+        "    for name in [n for n in sys.modules if n.split('.')[0] == 'graphcensus']:",
+        "        del sys.modules[name]",
+        "    import graphcensus.graphs",
+        "gc.collect()",
+        "assert old() is None, 'an old Multigraph class is still alive'",
+    ])
+    src = str(Path(G.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
