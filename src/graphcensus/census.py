@@ -22,19 +22,10 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, Multigraph, SimpleGraph, aut_count, is_isomorphic
+from .graphs import Graph, as_family, aut_count
 from .models import WeightSpec
 from .oracle import patchwork_series
 from .series import TruncatedSeries, family_egf
-
-
-def _as_family(family: Graph | Iterable[Graph]) -> list[Graph]:
-    shapes = [family] if isinstance(family, (Multigraph, SimpleGraph)) else list(family)
-    for i, a in enumerate(shapes):
-        for b in shapes[i + 1 :]:
-            if a.kind == b.kind and is_isomorphic(a, b):
-                raise ValueError("family members must be pairwise non-isomorphic")
-    return shapes
 
 
 def mg_total(n: int, m: int) -> int:
@@ -69,7 +60,7 @@ def mg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fractio
 
     n! 2^m m! [z^n w^m] F(z,w) e^z e^{n^2 w / 2}.
     """
-    shapes = _as_family(family)
+    shapes = as_family(family)
     if not shapes:
         return Fraction(0)
     f = family_egf(shapes, n, m)
@@ -83,7 +74,7 @@ def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fractio
 
     n! [z^n w^m] F(z, w/(1+w)) e^z (1+w)^binom(n,2).
     """
-    shapes = _as_family(family)
+    shapes = as_family(family)
     if not shapes:
         return Fraction(0)
     f = family_egf(shapes, n, m).substitute_w_over_1pw()
@@ -108,7 +99,7 @@ def mg_distinguished_weighted(
     e^{z Delta(x)} w^j / (2^j j!), where the degree mark y_d receives the
     series Delta^(d)(x).  The w-cap bounds j by m, so the sum is finite.
     """
-    shapes = _as_family(family)
+    shapes = as_family(family)
     if not shapes:
         return Fraction(0)
     x_cap = 2 * m

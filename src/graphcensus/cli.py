@@ -175,17 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--theorem",
         required=True,
-        choices=[
-            "threshold",
-            "lambda-simple",
-            "lambda-multi",
-            "weighted",
-            "cycles-finite",
-            "regular",
-            "sparse-tree",
-            "powerlaw-cycles",
-            "periodic",
-        ],
+        choices=list(predictors.THEOREMS),
     )
     p.add_argument("--shape")
     p.add_argument("--kind")

@@ -496,7 +496,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
+        """Config from ``to_json`` output; its derived ``resolved_m`` is ignored."""
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        unknown = sorted(set(data) - fields - {"resolved_m"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return ExperimentConfig(**{k: v for k, v in data.items() if k in fields})
 
 
@@ -578,12 +582,15 @@ def _worker_chunk(payload) -> list[tuple]:
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:
+    """``config.workers`` (default: all cores), capped by ``WORKERS`` if set."""
+    workers = max(1, int(config.workers or os.cpu_count() or 1))
     env = os.environ.get("WORKERS")
     if env:
-        return max(1, int(env))
-    if config.workers:
-        return max(1, int(config.workers))
-    return max(1, os.cpu_count() or 1)
+        cap = int(env) if env.isdecimal() else 0
+        if cap < 1:
+            raise ValueError(f"WORKERS must be a positive integer, got {env!r}")
+        workers = min(workers, cap)
+    return workers
 
 
 def run_many(config: ExperimentConfig, patterns: list[str]) -> dict[str, ExperimentReport]:

@@ -470,23 +470,9 @@ def group_order(g: Graph) -> int:
 PATTERN_CAP = 8
 
 
-def _pattern_structure(f: Graph):
-    """Adjacency of the pattern as multiplicity maps keyed by vertex."""
-    mult = f.pair_multiplicities()
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(1, f.n + 1)}
-    loops: dict[int, int] = {v: 0 for v in range(1, f.n + 1)}
-    for (u, v), k in mult.items():
-        if u == v:
-            loops[u] = k
-        else:
-            adj[u][v] = k
-            adj[v][u] = k
-    return adj, loops
-
-
 def _search_order(f: Graph) -> list[int]:
     """Pattern vertices ordered so each new vertex touches placed ones if possible."""
-    adj, _ = _pattern_structure(f)
+    adj, _ = _adjacency(f)
     degs = f.degrees()
     remaining = set(range(1, f.n + 1))
     order: list[int] = []
@@ -519,26 +505,13 @@ def subgraph_count(g: Graph, f: Graph) -> int:
     return total // auts
 
 
-def subgraph_count_family(g: Graph, family: Iterable[Graph]) -> int:
-    """g[family] for pairwise non-isomorphic shapes (validated)."""
-    shapes = list(family)
+def as_family(family: Graph | Iterable[Graph]) -> list[Graph]:
+    """One graph or an iterable of pairwise non-isomorphic graphs, as a list."""
+    shapes = [family] if isinstance(family, (Multigraph, SimpleGraph)) else list(family)
     for a, b in combinations(shapes, 2):
         if a.kind == b.kind and is_isomorphic(a, b):
             raise ValueError("family members must be pairwise non-isomorphic")
-    return sum(subgraph_count(g, f) for f in shapes)
-
-
-def _host_structure(g: Graph):
-    mult = g.pair_multiplicities()
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(1, g.n + 1)}
-    loops: dict[int, int] = {v: 0 for v in range(1, g.n + 1)}
-    for (u, v), k in mult.items():
-        if u == v:
-            loops[u] = k
-        else:
-            adj[u][v] = k
-            adj[v][u] = k
-    return adj, loops
+    return shapes
 
 
 def _embedding_weight_sum(g: Graph, f: Graph, collect) -> int:
@@ -547,8 +520,8 @@ def _embedding_weight_sum(g: Graph, f: Graph, collect) -> int:
     With ``collect`` a set, instead accumulates every concrete copy
     (vertices, edge choice) into it and the return value is meaningless.
     """
-    f_adj, f_loops = _pattern_structure(f)
-    g_adj, g_loops = _host_structure(g)
+    f_adj, f_loops = _adjacency(f)
+    g_adj, g_loops = _adjacency(g)
     g_degs = g.degrees()
     f_degs = f.degrees()
     order = _search_order(f)
@@ -652,7 +625,7 @@ def subgraph_copies(g: Graph, f: Graph) -> set[Subgraph]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    adj, loops = _host_structure(g)
+    adj, _ = _adjacency(g)
     seen = {1}
     stack = [1]
     while stack:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,28 +28,34 @@ from .specialfuncs import polylog, stirling1_signed, zeta
 REJECTION_CAP = 10**7  # vertex-batch attempts before giving up
 
 
+@dataclass(frozen=True)
 class WeightSpec:
     """Degree-weight sequence with exact and float evaluation of Delta.
 
     Exact coefficient access (``delta``) is available for every builtin
     except the power law, whose weights are irrational; the power law is
     evaluated in floats only and only at x <= 1 (radius of convergence 1).
+    A spec is an immutable value: equality and hash cover (kind, coeffs,
+    beta), so it can key a cache.
     """
 
-    def __init__(self, kind: str, coeffs: Sequence[Fraction] | None = None, beta: float | None = None):
-        self.kind = kind
-        self.coeffs = tuple(Fraction(c) for c in coeffs) if coeffs is not None else None
-        self.beta = beta
-        if kind == "finite":
+    kind: str
+    coeffs: tuple[Fraction, ...] | None = None
+    beta: float | None = None
+
+    def __post_init__(self):
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        if self.kind == "finite":
             if not self.coeffs or all(c == 0 for c in self.coeffs):
                 raise ValueError("finite weight vector needs a nonzero entry")
             if any(c < 0 for c in self.coeffs):
                 raise ValueError("weights must be nonnegative")
-        elif kind == "powerlaw":
-            if beta is None or beta <= 1:
+        elif self.kind == "powerlaw":
+            if self.beta is None or self.beta <= 1:
                 raise ValueError("power law requires beta > 1")
-        elif kind not in ("exp", "cosh", "sinh1"):
-            raise ValueError(f"unknown weight kind {kind!r}")
+        elif self.kind not in ("exp", "cosh", "sinh1"):
+            raise ValueError(f"unknown weight kind {self.kind!r}")
 
     # -- constructors --------------------------------------------------------
 
@@ -114,9 +121,6 @@ class WeightSpec:
             return Fraction(1) if (d == 0 or d % 2 == 1) else Fraction(0)
         raise ValueError("power-law weights are not rational")
 
-    def is_polynomial(self) -> bool:
-        return self.kind == "finite"
-
     def egf_poly(self, cap: int) -> TruncatedSeries:
         """Delta(x) truncated at x^cap, exact (coefficient of x^d is delta_d/d!)."""
         coeffs = {}
@@ -137,9 +141,6 @@ class WeightSpec:
         if self.kind == "finite":
             return max(d for d, c in enumerate(self.coeffs) if c != 0)
         return math.inf
-
-    def support(self, cap: int) -> list[int]:
-        return [d for d in range(cap + 1) if self.delta_float(d) > 0]
 
     def delta_float(self, d: int) -> float:
         if self.kind == "powerlaw":
@@ -184,7 +185,7 @@ class WeightSpec:
         return x * self.value(x, 1) / self.value(x, 0)
 
 
-def solve_tuning(delta: WeightSpec, target: float | Fraction, rel_tol: float = 1e-12) -> float:
+def solve_tuning(delta: WeightSpec, target: float | Fraction) -> float:
     """Unique positive root of x Delta'(x)/Delta(x) = target.
 
     The map is increasing (its derivative is a variance over a positive
@@ -223,7 +224,7 @@ def solve_tuning(delta: WeightSpec, target: float | Fraction, rel_tol: float = 1
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(hi, 1e-30):
+        if hi - lo <= 1e-12 * max(hi, 1e-30):
             break
     x = 0.5 * (lo + hi)
     return x
@@ -304,16 +305,6 @@ class DegreeDistribution:
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError("pmf must sum to 1")
         return DegreeDistribution(arr / arr.sum())
-
-    def mean(self) -> float:
-        head = float((np.arange(len(self.probs)) * self.probs).sum())
-        if self.tail_mass and self.tail_beta is not None:
-            beta = self.tail_beta
-            if beta <= 2:
-                return math.inf
-            cap = len(self.probs) - 1
-            head += cap ** (2 - beta) / ((beta - 2) * polylog(beta, 1.0))
-        return head
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
@@ -407,9 +398,7 @@ def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) 
     return Multigraph(n, stubs[perm].tolist())
 
 
-_FEASIBILITY_MEMO: dict[tuple, bool] = {}
-
-
+@lru_cache(maxsize=4096)
 def feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
     """Can ``total`` be written as a sum of n support elements of Delta?
 
@@ -417,17 +406,6 @@ def feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
     zero in the support lets any part count up to n be padded.  Memoized:
     samplers re-check the same (spec, n, 2m) triple for every replicate.
     """
-    key = (delta.kind, delta.coeffs, delta.beta, n, total)
-    cached = _FEASIBILITY_MEMO.get(key)
-    if cached is not None:
-        return cached
-    result = _feasible_degree_sum(delta, n, total)
-    if len(_FEASIBILITY_MEMO) < 4096:
-        _FEASIBILITY_MEMO[key] = result
-    return result
-
-
-def _feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
     if total < 0:
         return False
     if delta.kind == "exp":
@@ -460,24 +438,12 @@ def _feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
     return bool(masks[total] >> n & 1)
 
 
-_TUNING_MEMO: dict[tuple, float] = {}
-_DIST_MEMO: dict[tuple, "DegreeDistribution"] = {}
-
-
-def _spec_key(delta: WeightSpec) -> tuple:
-    return (delta.kind, delta.coeffs, delta.beta)
-
-
+@lru_cache(maxsize=64)
 def _cached_distribution(delta: WeightSpec, x: float) -> DegreeDistribution:
-    key = (_spec_key(delta), x)
-    dist = _DIST_MEMO.get(key)
-    if dist is None:
-        dist = DegreeDistribution.from_weight_spec(delta, x)
-        if len(_DIST_MEMO) < 64:
-            _DIST_MEMO[key] = dist
-    return dist
+    return DegreeDistribution.from_weight_spec(delta, x)
 
 
+@lru_cache(maxsize=4096)
 def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
     """Tuning point for the conditioned sampler (memoized per (spec, n, m)).
 
@@ -486,17 +452,6 @@ def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
     on the boundary of a finite support the tuning equation has no root and
     any interior surrogate works.
     """
-    key = (_spec_key(delta), n, m)
-    cached = _TUNING_MEMO.get(key)
-    if cached is not None:
-        return cached
-    x = _tuning_for_sampler_uncached(delta, n, m)
-    if len(_TUNING_MEMO) < 4096:
-        _TUNING_MEMO[key] = x
-    return x
-
-
-def _tuning_for_sampler_uncached(delta: WeightSpec, n: int, m: int) -> float:
     lo, hi = delta.support_min(), delta.support_max()
     target = Fraction(2 * m, n)
     if lo < target < hi:
@@ -508,14 +463,7 @@ def _tuning_for_sampler_uncached(delta: WeightSpec, n: int, m: int) -> float:
     return solve_tuning(delta, surrogate)
 
 
-def sample_delta_multigraph(
-    n: int,
-    m: int,
-    delta: WeightSpec,
-    rng: np.random.Generator,
-    x: float | None = None,
-    max_batches: int = REJECTION_CAP,
-) -> Multigraph:
+def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Generator) -> Multigraph:
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
     Draws n Boltzmann degrees and rejects until their sum is exactly 2m,
@@ -526,15 +474,13 @@ def sample_delta_multigraph(
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
-    if x is None:
-        x = _tuning_for_sampler(delta, n, m)
-    dist = _cached_distribution(delta, x)
+    dist = _cached_distribution(delta, _tuning_for_sampler(delta, n, m))
     if delta.kind == "finite" or not dist.tail_mass:
         values = np.arange(len(dist.probs))
         pvals = dist.probs
         batch = 64
         attempts = 0
-        while attempts < max_batches:
+        while attempts < REJECTION_CAP:
             counts = rng.multinomial(n, pvals, size=batch)
             sums = counts @ values
             hits = np.nonzero(sums == 2 * m)[0]
@@ -547,15 +493,13 @@ def sample_delta_multigraph(
             batch = min(2 * batch, 8192)
         raise RuntimeError("rejection cap exceeded in delta sampler")
     # heavy-tailed table: draw the vector directly
-    return _conditioned_from_distribution(n, m, dist, rng, max_batches)
+    return _conditioned_from_distribution(n, m, dist, rng)
 
 
-def _conditioned_from_distribution(
-    n: int, m: int, dist: DegreeDistribution, rng: np.random.Generator, max_batches: int
-) -> Multigraph:
+def _conditioned_from_distribution(n: int, m: int, dist: DegreeDistribution, rng: np.random.Generator) -> Multigraph:
     batch = 16
     attempts = 0
-    while attempts < max_batches:
+    while attempts < REJECTION_CAP:
         draws = dist.sample(rng, batch * n).reshape(batch, n)
         sums = draws.sum(axis=1)
         hits = np.nonzero(sums == 2 * m)[0]
@@ -567,11 +511,7 @@ def _conditioned_from_distribution(
 
 
 def sample_configuration(
-    n: int,
-    pi: DegreeDistribution,
-    rng: np.random.Generator,
-    m: int | None = None,
-    max_batches: int = REJECTION_CAP,
+    n: int, pi: DegreeDistribution, rng: np.random.Generator, m: int | None = None
 ) -> Multigraph:
     """Configuration-model sampler with degree distribution pi.
 
@@ -580,10 +520,10 @@ def sample_configuration(
     pi = pi_x the output law equals the Boltzmann sampler's law.
     """
     if m is None:
-        for _ in range(max_batches):
+        for _ in range(REJECTION_CAP):
             degrees = pi.sample(rng, n)
             total = int(degrees.sum())
             if total % 2 == 0:
                 return _assemble_multigraph(n, degrees, rng)
         raise RuntimeError("rejection cap exceeded (odd sums)")
-    return _conditioned_from_distribution(n, m, pi, rng, max_batches)
+    return _conditioned_from_distribution(n, m, pi, rng)

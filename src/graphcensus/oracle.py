@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -20,10 +21,10 @@ from .graphs import (
     SimpleGraph,
     SizeCapError,
     Subgraph,
+    as_family,
     is_isomorphic,
     subgraph_copies,
     subgraph_count,
-    subgraph_count_family,
 )
 from .series import TruncatedSeries
 
@@ -80,73 +81,26 @@ def _weight(g: Graph, delta) -> Fraction:
     return w
 
 
-def _host_chunks(n: int, m: int, kind: str) -> list:
-    """Split the enumeration by a prefix so workers can share it."""
-    if kind == "multigraph":
-        if m == 0:
-            return [None]
-        return [("multi-prefix", n, m, v) for v in range(1, n + 1)]
-    pairs = list(combinations(range(1, n + 1), 2))
-    if m == 0:
-        return [None]
-    return [("simple-prefix", n, m, i) for i in range(len(pairs) - m + 1)]
-
-
-def _enumerate_chunk(chunk, n: int, m: int, kind: str) -> Iterator[Graph]:
-    if chunk is None:
-        yield from (enumerate_multigraphs if kind == "multigraph" else enumerate_simple)(n, m)
-        return
-    tag, n, m, head = chunk
-    if tag == "multi-prefix":
-        for rest in product(range(1, n + 1), repeat=2 * m - 1):
-            yield Multigraph(n, (head,) + rest)
-    else:
-        pairs = list(combinations(range(1, n + 1), 2))
-        for rest in combinations(pairs[head + 1 :], m - 1):
-            yield SimpleGraph(n, (pairs[head],) + rest)
-
-
-def _oracle_chunk(args) -> CountDistribution:
-    chunk, n, m, shapes, delta, kind = args
-    dist = CountDistribution(total=Fraction(0))
-    for g in _enumerate_chunk(chunk, n, m, kind):
-        w = _weight(g, delta)
-        t = subgraph_count_family(g, shapes) if len(shapes) > 1 else subgraph_count(g, shapes[0])
-        dist.total += w
-        dist.by_t[t] = dist.by_t.get(t, Fraction(0)) + w
-    dist.check()
-    return dist
-
-
 def oracle_distribution(
     n: int,
     m: int,
     family: Graph | Iterable[Graph],
     delta=None,
     kind: str = "multigraph",
-    workers: int = 1,
 ) -> CountDistribution:
     """Exact distribution of G[family] over all (n,m) hosts, delta-weighted.
 
     ``delta`` is a WeightSpec with exact rational coefficients (or None for
-    the uniform model).  With ``workers > 1`` the enumeration is chunked by
-    a sequence prefix and the partial distributions are merged; the merge is
-    associative over exact rationals, so the result is identical to the
-    serial one.
+    the uniform model).
     """
-    shapes = [family] if isinstance(family, (Multigraph, SimpleGraph)) else list(family)
-    if workers <= 1:
-        return _oracle_chunk((None, n, m, shapes, delta, kind))
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = _host_chunks(n, m, kind)
-    payloads = [(chunk, n, m, shapes, delta, kind) for chunk in chunks]
+    shapes = as_family(family)
+    hosts = enumerate_multigraphs(n, m) if kind == "multigraph" else enumerate_simple(n, m)
     dist = CountDistribution(total=Fraction(0))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_oracle_chunk, payloads):
-            dist.total += part.total
-            for t, w in part.by_t.items():
-                dist.by_t[t] = dist.by_t.get(t, Fraction(0)) + w
+    for g in hosts:
+        w = _weight(g, delta)
+        t = sum(subgraph_count(g, f) for f in shapes)
+        dist.total += w
+        dist.by_t[t] = dist.by_t.get(t, Fraction(0)) + w
     dist.check()
     return dist
 
@@ -208,32 +162,31 @@ class PatchworkSeries:
     k_max: int
 
 
-def _piece_sets_with_full_union(
-    host: Graph, copies: list[Subgraph], k_limit: int | None
-) -> Iterator[int]:
-    """Yield sizes of copy subsets whose union covers all of the host."""
+def _piece_sets_with_full_union(host: Graph, copies: list[Subgraph], disjoint_only: bool) -> Iterator[int]:
+    """Yield sizes of copy subsets whose union covers all of the host.
+
+    With ``disjoint_only`` a subset counts only if its copies are pairwise
+    vertex-disjoint, that is, if their vertex counts add up to n(host).
+    """
     all_vertices = frozenset(range(1, host.n + 1))
     if isinstance(host, Multigraph):
         all_edges = frozenset(range(1, host.m + 1))
     else:
         all_edges = frozenset(host.edges)
-    top = len(copies) if k_limit is None else min(len(copies), k_limit)
-    for k in range(0 if host.n == 0 else 1, top + 1):
+    for k in range(0 if host.n == 0 else 1, len(copies) + 1):
         for chosen in combinations(copies, k):
             verts = frozenset().union(*(c.vertices for c in chosen)) if chosen else frozenset()
             edges = frozenset().union(*(c.edge_part for c in chosen)) if chosen else frozenset()
             if verts == all_vertices and edges == all_edges:
-                yield k
+                if not disjoint_only or sum(len(c.vertices) for c in chosen) == host.n:
+                    yield k
 
 
-_PATCHWORK_MEMO: dict[tuple, PatchworkSeries] = {}
-
-
+@lru_cache(maxsize=256)
 def patchwork_series(
     f: Graph,
     n_max: int,
     m_max: int,
-    k_max: int | None = None,
     kind: str | None = None,
     disjoint_only: bool = False,
 ) -> PatchworkSeries:
@@ -242,23 +195,17 @@ def patchwork_series(
     For every canonical host within the caps, every set of distinct copies
     of f whose union is exactly the host is one canonically labeled
     patchwork.  ``disjoint_only`` keeps only sets of pairwise vertex-disjoint
-    copies.  ``k_max=None`` enumerates all piece counts (needed for exact
-    inclusion-exclusion); the number of copies per host is capped to keep the
-    subset lattice small.  Results are memoized (the t-slice extraction asks
-    for the same series once per t).
+    copies.  All piece counts are enumerated (exact inclusion-exclusion needs
+    them); the number of copies per host is capped to keep the subset
+    lattice small.  Results are memoized (the t-slice extraction asks for the
+    same series once per t).
     """
     kind = kind or f.kind
-    f_key = f.edge_seq if isinstance(f, Multigraph) else tuple(sorted(f.edges))
-    memo_key = (kind, f.n, f_key, n_max, m_max, k_max, disjoint_only)
-    cached = _PATCHWORK_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
     if kind != f.kind:
         raise ValueError("pattern kind must match the requested kind")
     if n_max > PATCHWORK_HOST_CAP[0] or m_max > PATCHWORK_HOST_CAP[1]:
         raise SizeCapError(f"patchwork caps are {PATCHWORK_HOST_CAP}")
     multigraph = kind == "multigraph"
-    k_cap_estimate = k_max if k_max is not None else PATCHWORK_COPIES_CAP
     coeffs: dict[tuple[int, int, int], Fraction] = {(0, 0, 0): Fraction(1)}
     for n in range(0, n_max + 1):
         for m in range(0, m_max + 1):
@@ -278,45 +225,13 @@ def patchwork_series(
                     continue
                 if len(copies) > PATCHWORK_COPIES_CAP:
                     raise SizeCapError("too many copies in one host for patchworks")
-                if disjoint_only:
-                    copies_iter = _disjoint_union_sizes(host, copies, k_max)
-                else:
-                    copies_iter = _piece_sets_with_full_union(host, copies, k_max)
-                for k in copies_iter:
+                for k in _piece_sets_with_full_union(host, copies, disjoint_only):
                     key = (k, m, n)
                     coeffs[key] = coeffs.get(key, Fraction(0)) + norm
     max_k = max((k for k, _, _ in coeffs), default=0)
     series = TruncatedSeries(
         ("u", "w", "z"),
-        (max(k_cap_estimate, max_k), m_max, n_max),
+        (max(PATCHWORK_COPIES_CAP, max_k), m_max, n_max),
         coeffs,
     )
-    result = PatchworkSeries(series, kind, n_max, m_max, max_k)
-    if len(_PATCHWORK_MEMO) < 256:
-        _PATCHWORK_MEMO[memo_key] = result
-    return result
-
-
-def _disjoint_union_sizes(
-    host: Graph, copies: list[Subgraph], k_limit: int | None
-) -> Iterator[int]:
-    all_vertices = frozenset(range(1, host.n + 1))
-    if isinstance(host, Multigraph):
-        all_edges = frozenset(range(1, host.m + 1))
-    else:
-        all_edges = frozenset(host.edges)
-    top = len(copies) if k_limit is None else min(len(copies), k_limit)
-    for k in range(0 if host.n == 0 else 1, top + 1):
-        for chosen in combinations(copies, k):
-            verts: set = set()
-            ok = True
-            for c in chosen:
-                if verts & c.vertices:
-                    ok = False
-                    break
-                verts |= c.vertices
-            if not ok:
-                continue
-            edges = frozenset().union(*(c.edge_part for c in chosen)) if chosen else frozenset()
-            if frozenset(verts) == all_vertices and edges == all_edges:
-                yield k
+    return PatchworkSeries(series, kind, n_max, m_max, max_k)

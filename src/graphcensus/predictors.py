@@ -383,46 +383,45 @@ def periodic_expectation(
 # dispatcher (shared by the CLI and experiment configs)
 
 
+def _shape_param(params: dict, kind_default: str = "multigraph") -> Graph:
+    pat = params["shape"]
+    return shape(pat, params.get("kind", kind_default)) if isinstance(pat, str) else pat
+
+
+def _delta_param(params: dict) -> WeightSpec:
+    d = params["delta"]
+    return d if isinstance(d, WeightSpec) else WeightSpec.from_json(d)
+
+
+# theorem name -> formula over a parameter dict
+THEOREMS = {
+    "threshold": lambda p: Prediction(
+        None, exponent=threshold_exponent(_shape_param(p)), formula_id="threshold-essential-density"
+    ),
+    "lambda-simple": lambda p: poisson_lambda_simple(_shape_param(p, "simple"), _num(p["c"])),
+    "lambda-multi": lambda p: poisson_lambda_multi(
+        _shape_param(p), _num(p["c"]), p.get("convention", "iso-closed")
+    ),
+    "weighted": lambda p: weighted_expectation_predictor(
+        _shape_param(p), int(p["n"]), int(p["m"]), _delta_param(p)
+    ),
+    "cycles-finite": lambda p: cycle_poisson_mean_finite(
+        int(p["l"]), int(p["n"]), int(p["m"]), _delta_param(p), p.get("norm", "half")
+    ),
+    "regular": lambda p: regular_expectation(_shape_param(p), int(p["n"]), int(p["p"])),
+    "sparse-tree": lambda p: sparse_tree_exponent(_shape_param(p), _delta_param(p)),
+    "powerlaw-cycles": lambda p: power_law_cycle_prediction(float(p["beta"]), int(p["l"]), int(p["n"])),
+    "periodic": lambda p: periodic_expectation(
+        _shape_param(p), int(p["n"]), int(p["m"]), _delta_param(p)
+    ),
+}
+
+
 def predict(theorem: str, **params) -> Prediction:
-    """Name-based dispatcher over the predictor formulas."""
-    def get_shape(kind_default="multigraph") -> Graph:
-        kind = params.get("kind", kind_default)
-        pat = params["shape"]
-        return shape(pat, kind) if isinstance(pat, str) else pat
-
-    def get_delta() -> WeightSpec:
-        d = params["delta"]
-        return d if isinstance(d, WeightSpec) else WeightSpec.from_json(d)
-
-    if theorem == "threshold":
-        f = get_shape()
-        return Prediction(None, exponent=threshold_exponent(f), formula_id="threshold-essential-density")
-    if theorem == "lambda-simple":
-        return poisson_lambda_simple(get_shape("simple"), _num(params["c"]))
-    if theorem == "lambda-multi":
-        return poisson_lambda_multi(
-            get_shape(), _num(params["c"]), params.get("convention", "iso-closed")
-        )
-    if theorem == "weighted":
-        return weighted_expectation_predictor(
-            get_shape(), int(params["n"]), int(params["m"]), get_delta()
-        )
-    if theorem == "cycles-finite":
-        return cycle_poisson_mean_finite(
-            int(params["l"]), int(params["n"]), int(params["m"]),
-            get_delta(), params.get("norm", "half"),
-        )
-    if theorem == "regular":
-        return regular_expectation(get_shape(), int(params["n"]), int(params["p"]))
-    if theorem == "sparse-tree":
-        return sparse_tree_exponent(get_shape(), get_delta())
-    if theorem == "powerlaw-cycles":
-        return power_law_cycle_prediction(float(params["beta"]), int(params["l"]), int(params["n"]))
-    if theorem == "periodic":
-        return periodic_expectation(
-            get_shape(), int(params["n"]), int(params["m"]), get_delta()
-        )
-    raise ValueError(f"unknown theorem {theorem!r}")
+    """Name-based dispatcher over ``THEOREMS``."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}")
+    return THEOREMS[theorem](params)
 
 
 def _num(x):

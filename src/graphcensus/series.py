@@ -203,17 +203,6 @@ class TruncatedSeries:
                 raise ValueError(f"unknown variable {v}")
         return self.coeffs.get(tuple(expo), Fraction(0))
 
-    def slice_variable(self, var: str, power: int) -> "TruncatedSeries":
-        """Coefficient of var**power as a series in the remaining variables."""
-        idx = self.variables.index(var)
-        variables = self.variables[:idx] + self.variables[idx + 1 :]
-        caps = self.caps[:idx] + self.caps[idx + 1 :]
-        out = {}
-        for expo, c in self.coeffs.items():
-            if expo[idx] == power:
-                out[expo[:idx] + expo[idx + 1 :]] = c
-        return TruncatedSeries(variables, caps, out)
-
     def substitute_value(self, var: str, value: Rational) -> "TruncatedSeries":
         """Evaluate one variable at an exact rational value."""
         idx = self.variables.index(var)
@@ -258,10 +247,6 @@ class TruncatedSeries:
                 out[new] = out.get(new, Fraction(0)) + coeff
         return TruncatedSeries(self.variables, self.caps, out)
 
-    def truncate(self, new_caps: Mapping[str, int]) -> "TruncatedSeries":
-        caps = tuple(min(c, new_caps.get(v, c)) for v, c in zip(self.variables, self.caps))
-        return TruncatedSeries(self.variables, caps, self.coeffs)
-
     def to_debug_json(self) -> dict:
         """Debug dump {exponent string: coefficient string}."""
         key = lambda e: " ".join(f"{v}^{p}" for v, p in zip(self.variables, e) if p) or "1"
@@ -298,13 +283,7 @@ def degree_mark_name(d: int) -> str:
     return f"y{d}"
 
 
-def class_egf(
-    f: Graph,
-    z_cap: int,
-    w_cap: int,
-    marks: bool = False,
-    weight: Rational = 1,
-) -> TruncatedSeries:
+def class_egf(f: Graph, z_cap: int, w_cap: int, marks: bool = False) -> TruncatedSeries:
     """EGF of the isomorphism-closed family of one shape.
 
     With ``marks`` each vertex of degree d contributes a factor y_d; the
@@ -317,16 +296,13 @@ def class_egf(
             name = degree_mark_name(d)
             powers[name] = powers.get(name, 0) + 1
             caps[name] = z_cap  # generous: a family never exceeds z_cap marks
-    return TruncatedSeries.monomial(powers, Fraction(weight, aut_count(f)), caps)
+    return TruncatedSeries.monomial(powers, Fraction(1, aut_count(f)), caps)
 
 
-def family_egf(shapes: Iterable[Graph], z_cap: int, w_cap: int, marks: bool = False,
-               weights: Iterable[Rational] | None = None) -> TruncatedSeries:
-    shapes = list(shapes)
-    weights = list(weights) if weights is not None else [1] * len(shapes)
+def family_egf(shapes: Iterable[Graph], z_cap: int, w_cap: int, marks: bool = False) -> TruncatedSeries:
     total = TruncatedSeries.zero(("w", "z"), (w_cap, z_cap))
-    for f, wgt in zip(shapes, weights):
-        total = total + class_egf(f, z_cap, w_cap, marks=marks, weight=wgt)
+    for f in shapes:
+        total = total + class_egf(f, z_cap, w_cap, marks=marks)
     return total
 
 

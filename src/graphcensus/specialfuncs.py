@@ -55,12 +55,6 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
-def log_gamma(x: float) -> float:
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return math.lgamma(x)
-
-
 def zeta(s: float, terms: int = 25) -> float:
     """Riemann zeta via Euler-Maclaurin summation.
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from graphcensus import predictors
 from graphcensus.cli import main
 
 
@@ -76,6 +79,33 @@ def test_predict_verb(capsys):
     data = json.loads(out)
     assert 0.2 < data["value"] < 0.3
     assert data["convention"] == "half"
+
+
+THEOREM_ARGS = {
+    "threshold": ["--shape", "c3"],
+    "lambda-simple": ["--shape", "c3", "--c", "1/2"],
+    "lambda-multi": ["--shape", "c3", "--c", "1/2"],
+    "weighted": ["--shape", "p3", "--n", "100", "--m", "75", "--delta", "finite:1,1,1,1"],
+    "cycles-finite": ["--l", "3", "--n", "100", "--m", "75", "--delta", "finite:1,1,1,1"],
+    "regular": ["--shape", "c3", "--n", "100", "--p", "3"],
+    "sparse-tree": ["--shape", "p3", "--delta", "exp"],
+    "powerlaw-cycles": ["--beta", "2.5", "--l", "3", "--n", "1000"],
+    "periodic": ["--shape", "p3", "--n", "100", "--m", "75", "--delta", "cosh"],
+}
+
+
+def test_predict_theorems_are_the_registry(capsys):
+    assert list(THEOREM_ARGS) == list(predictors.THEOREMS)
+    with pytest.raises(SystemExit):
+        main(["predict", "--theorem", "nope"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theorem", list(THEOREM_ARGS))
+def test_every_theorem_choice_dispatches(capsys, theorem):
+    data = json.loads(run_cli(capsys, "predict", "--theorem", theorem, *THEOREM_ARGS[theorem]))
+    assert data["theorem"] == theorem
+    assert data["formula_id"]
 
 
 def test_experiment_run_and_sweep(tmp_path):

@@ -1,6 +1,6 @@
+import dataclasses
 import json
 import math
-import os
 
 import pytest
 
@@ -133,15 +133,40 @@ def test_determinism_across_workers():
     cfg = ExperimentConfig(
         model="uniform-multi", n=30, m=20, pattern="c3", replicates=64, seed=9, workers=1
     )
-    first = E.run(cfg)
-    os.environ["WORKERS"] = "2"
-    try:
-        second = E.run(cfg)
-    finally:
-        del os.environ["WORKERS"]
-    assert json.dumps(first.to_json(include_runtime=False), sort_keys=True) == json.dumps(
-        second.to_json(include_runtime=False), sort_keys=True
+    reports = [E.run(cfg), E.run(dataclasses.replace(cfg, workers=2))]
+    dumps = []
+    for rep in reports:
+        data = rep.to_json(include_runtime=False)
+        del data["config"]["workers"]  # the one field that differs by design
+        dumps.append(json.dumps(data, sort_keys=True))
+    assert dumps[0] == dumps[1]
+
+
+def test_workers_env_caps_config(monkeypatch):
+    cfg = ExperimentConfig(
+        model="uniform-multi", n=30, m=20, pattern="c3", replicates=8, seed=9, workers=2
     )
+    monkeypatch.delenv("WORKERS", raising=False)
+    assert E._resolve_workers(cfg) == 2
+    monkeypatch.setenv("WORKERS", "1")
+    assert E._resolve_workers(cfg) == 1
+    monkeypatch.setenv("WORKERS", "8")
+    assert E._resolve_workers(cfg) == 2
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_workers_env_must_be_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("WORKERS", value)
+    cfg = ExperimentConfig(model="uniform-multi", n=2, m=1, pattern="edge", replicates=4, seed=1)
+    with pytest.raises(ValueError, match="WORKERS"):
+        E.run(cfg)
+
+
+def test_config_rejects_unknown_keys():
+    data = {"model": "uniform-multi", "n": 10, "m": 5, "pattern": "loop", "replicates": 3, "seed": 1}
+    assert ExperimentConfig.from_json(data).replicates == 3
+    with pytest.raises(ValueError, match="replicats"):
+        ExperimentConfig.from_json({**data, "replicats": 99})
 
 
 def test_m_rule_rounding():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -42,6 +43,19 @@ def test_weight_spec_json_round_trip():
         assert again.kind == spec.kind and again.coeffs == spec.coeffs
     assert WeightSpec.from_json("finite:1,1,1/2").coeffs == (1, 1, Fraction(1, 2))
     assert WeightSpec.from_json("powerlaw:2.5").beta == 2.5
+
+
+def test_weight_spec_is_a_value():
+    same = WeightSpec("finite", coeffs=["1", 1, Fraction(1)])
+    assert same.coeffs == (1, 1, 1) and all(type(c) is Fraction for c in same.coeffs)
+    assert same == WeightSpec.finite([1, 1, 1]) and hash(same) == hash(WeightSpec.finite([1, 1, 1]))
+    assert WeightSpec.power_law(2.5) == WeightSpec.from_json("powerlaw:2.5")
+    assert WeightSpec.power_law(2.5) != WeightSpec.power_law(3.0)
+    assert len({WeightSpec.cosh(), WeightSpec.cosh(), WeightSpec.exponential()}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CUBIC.kind = "exp"
+    with pytest.raises(ValueError):
+        WeightSpec.finite([0, 0])
 
 
 def test_finite_derivatives():

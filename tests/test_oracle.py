@@ -31,6 +31,20 @@ def test_oracle_distribution_examples():
     assert weighted.total == 2
 
 
+def test_oracle_family_matches_census():
+    from graphcensus.census import mg_distinguished
+
+    family = [G.loop(), G.edge_multi()]
+    dist = O.oracle_distribution(3, 2, family)
+    assert dist.total == 3**4
+    assert dist.distinguished_total == mg_distinguished(3, 2, family)
+
+
+def test_oracle_rejects_isomorphic_family_members():
+    with pytest.raises(ValueError, match="non-isomorphic"):
+        O.oracle_distribution(2, 1, [G.edge_multi(), G.Multigraph(2, (2, 1))])
+
+
 def test_oracle_totals_match_closed_forms():
     for n in (1, 2, 3):
         for m in range(0, 4):

@@ -190,3 +190,5 @@ def test_predict_dispatcher():
     assert pred.exponent == 2
     with pytest.raises(ValueError):
         P.predict("unknown-theorem")
+    with pytest.raises(ValueError, match="nope"):
+        P.predict("nope")
