@@ -254,6 +254,7 @@ class DegreeDistribution:
         head = int(np.searchsorted(self.cum, 1.0 - 2e-3, side="left")) + 1
         self.head_len = min(max(head, 1), min(256, len(self.cum)))
         self.head_cum = self.cum[: self.head_len]
+        self.sum_tables: dict[tuple[int, int], tuple] = {}  # see _sum_tables
 
     @staticmethod
     def from_weight_spec(delta: WeightSpec, x: float, table_cap: int = 1 << 16) -> "DegreeDistribution":
@@ -306,19 +307,29 @@ class DegreeDistribution:
             raise ValueError("pmf must sum to 1")
         return DegreeDistribution(arr / arr.sum())
 
+    def pmf(self, top: int) -> np.ndarray:
+        """pi(0..top) as a new array, with the exact power-law tail past the table."""
+        head = self.probs[: top + 1].copy()
+        cap = len(self.probs) - 1
+        if top <= cap or not self.tail_mass:
+            return head
+        # the tail exists only at x = 1, where pi(d) = d^-beta / zeta(beta)
+        d = np.arange(cap + 1, top + 1, dtype=float)
+        return np.concatenate((head, self.probs[cap] * (cap / d) ** self.tail_beta))
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
-        out = np.searchsorted(self.head_cum, u, side="right")
-        top = len(self.probs)
-        if self.head_len < top:
-            miss = np.nonzero(out >= self.head_len)[0]
-            if miss.size:
-                out[miss] = np.searchsorted(self.cum, u[miss], side="right")
-        if self.tail_mass:
-            for i in np.nonzero(out >= top)[0]:
-                out[i] = self._sample_tail(rng)
-        elif out.size:
-            np.minimum(out, top - 1, out=out)  # guard the last float ulp
+        out = self.head_cum.searchsorted(u, side="right")
+        miss = (out == self.head_len).nonzero()[0]  # past the head table
+        if miss.size:
+            top = len(self.probs)
+            if self.head_len < top:
+                out[miss] = self.cum.searchsorted(u[miss], side="right")
+            if self.tail_mass:
+                for i in miss[out[miss] == top]:
+                    out[i] = self._sample_tail(rng)
+            else:
+                np.minimum(out, top - 1, out=out)  # guard the last float ulp
         return out
 
     def _sample_tail(self, rng: np.random.Generator) -> int:
@@ -466,11 +477,12 @@ def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
 def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Generator) -> Multigraph:
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
-    Draws n Boltzmann degrees and rejects until their sum is exactly 2m,
-    then pairs half-edges uniformly.  Degree vectors are drawn through their
-    sufficient statistic: counts per degree value are multinomial, and given
-    the counts the arrangement over vertices is a uniform shuffle, which is
-    exactly the law of n iid draws.
+    Draws n Boltzmann degrees conditioned on summing to exactly 2m, then
+    pairs half-edges uniformly.  A finite degree table rejects whole vectors,
+    drawn through their sufficient statistic: counts per degree value are
+    multinomial, and given the counts the arrangement over vertices is a
+    uniform shuffle, which is exactly the law of n iid draws.  A table with a
+    power-law tail conditions on the sum directly (``_conditioned_degrees``).
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
@@ -492,22 +504,8 @@ def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Ge
             attempts += batch
             batch = min(2 * batch, 8192)
         raise RuntimeError("rejection cap exceeded in delta sampler")
-    # heavy-tailed table: draw the vector directly
-    return _conditioned_from_distribution(n, m, dist, rng)
-
-
-def _conditioned_from_distribution(n: int, m: int, dist: DegreeDistribution, rng: np.random.Generator) -> Multigraph:
-    batch = 16
-    attempts = 0
-    while attempts < REJECTION_CAP:
-        draws = dist.sample(rng, batch * n).reshape(batch, n)
-        sums = draws.sum(axis=1)
-        hits = np.nonzero(sums == 2 * m)[0]
-        if hits.size:
-            return _assemble_multigraph(n, draws[hits[0]], rng)
-        attempts += batch
-        batch = min(2 * batch, 256)
-    raise RuntimeError("rejection cap exceeded in conditioned sampler")
+    # heavy-tailed table: condition the iid degrees on their sum directly
+    return _assemble_multigraph(n, _conditioned_degrees(n, 2 * m, dist, rng), rng)
 
 
 def sample_configuration(
@@ -515,15 +513,167 @@ def sample_configuration(
 ) -> Multigraph:
     """Configuration-model sampler with degree distribution pi.
 
-    Free-m variant rejects odd degree sums; the m-conditioned variant rejects
-    until the sum is exactly 2m.  Half-edge pairing is uniform, so with
-    pi = pi_x the output law equals the Boltzmann sampler's law.
+    Free-m variant rejects odd degree sums; the m-conditioned variant draws
+    the degrees conditioned on summing to exactly 2m (``_conditioned_degrees``).
+    Half-edge pairing is uniform, so with pi = pi_x the output law equals the
+    Boltzmann sampler's law.
     """
     if m is None:
+        if n % 2 and not pi.tail_mass and (np.flatnonzero(pi.probs) % 2).all():
+            raise ValueError(f"{n} degrees from a support of odd degrees never sum to an even number")
         for _ in range(REJECTION_CAP):
             degrees = pi.sample(rng, n)
             total = int(degrees.sum())
             if total % 2 == 0:
                 return _assemble_multigraph(n, degrees, rng)
         raise RuntimeError("rejection cap exceeded (odd sums)")
-    return _conditioned_from_distribution(n, m, pi, rng)
+    return _assemble_multigraph(n, _conditioned_degrees(n, 2 * m, pi, rng), rng)
+
+
+# ---------------------------------------------------------------------------
+# degrees conditioned on their sum
+
+_DIRECT_CONVOLVE_MAX = 1 << 18  # len(a) * len(b) up to which np.convolve beats the FFT
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
+    """(a * b)(0..top) for nonnegative a and b; numpy.fft for long inputs."""
+    size = min(len(a) + len(b) - 1, top + 1)
+    if len(a) * len(b) <= _DIRECT_CONVOLVE_MAX:
+        return np.convolve(a, b)[:size]
+    nfft = 1 << (len(a) + len(b) - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:size]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _split_weights(a: np.ndarray, b: np.ndarray, t: int) -> tuple[int, np.ndarray]:
+    """(lo, w) with w[i] = a(lo + i) b(t - lo - i) over every split of t."""
+    lo = max(0, t - len(b) + 1)
+    hi = min(t, len(a) - 1)
+    return lo, a[lo : hi + 1] * b[t - hi : t - lo + 1][::-1]
+
+
+def _draw_split(rng: np.random.Generator, a: np.ndarray, b: np.ndarray, t: int) -> int:
+    """s with probability proportional to a(s) b(t - s)."""
+    lo, w = _split_weights(a, b, t)
+    cum = np.cumsum(w)
+    k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    if k == len(w):  # u * cum[-1] rounded up to cum[-1]
+        k = int(np.flatnonzero(w)[-1])
+    return lo + k
+
+
+def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
+    """Convolution powers of ``dist``'s pmf for n degrees summing to ``total``.
+
+    Returns (levels, peaks, blocks): ``levels[j]`` is pi^{*2^j} on 0..total
+    for every 2^j <= n and ``peaks[j]`` its maximum; ``blocks`` lists the
+    binary blocks of n, largest first, as (j, pmf of the sum of the blocks
+    after it), where the empty sum has pmf [1].  Built on first use and kept
+    on ``dist`` for a few (n, total) at a time.  Raises ``ValueError`` when
+    pi^{*n}(total) = 0.
+    """
+    tables = dist.sum_tables.get((n, total))
+    if tables is not None:
+        return tables
+    if n < 1:
+        raise ValueError("need n >= 1")
+    infeasible = f"pi^*{n}(2m) = 0: no {n} degrees of positive probability sum to 2m = {total}"
+    base = dist.pmf(total)
+    support = np.flatnonzero(base)
+    if not support.size:
+        raise ValueError(infeasible)
+    base = base[: support[-1] + 1]
+    low = int(support[0])
+    step = int(np.gcd.reduce(support - low))
+
+    def restore_zeros(table: np.ndarray, k: int) -> np.ndarray:
+        # a sum of k degrees lies on k*low + step*Z (only k*low if step == 0)
+        keep = np.zeros(len(table), dtype=bool)
+        keep[k * low :: step or len(table)] = True
+        table[~keep] = 0.0
+        return table
+
+    levels = [base]
+    for j in range(1, n.bit_length()):
+        levels.append(restore_zeros(_convolve(levels[-1], levels[-1], total), 1 << j))
+    sizes = [j for j in reversed(range(n.bit_length())) if n >> j & 1]
+    rests = [np.ones(1)]
+    k = 0
+    for j in reversed(sizes[1:]):
+        k += 1 << j
+        rests.append(restore_zeros(_convolve(levels[j], rests[-1], total), k))
+    rests.reverse()
+    if not _split_weights(levels[sizes[0]], rests[0], total)[1].sum() > 0:
+        raise ValueError(infeasible)
+    if len(dist.sum_tables) >= 4:  # a few sizes at a time, not every one ever asked
+        dist.sum_tables.pop(next(iter(dist.sum_tables)))
+    tables = dist.sum_tables[(n, total)] = (levels, [float(t.max()) for t in levels], list(zip(sizes, rests)))
+    return tables
+
+
+def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.random.Generator) -> np.ndarray:
+    """n iid draws from ``dist`` conditioned on summing to ``total``, exactly.
+
+    Divide and conquer on the conditional laws of partial sums (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, on conditioning and
+    sums).  The total is split between the binary blocks of n by their
+    exact conditional law; a block of 2^j vertices with sum t is then
+    halved, with P = pi^{*2^(j-1)} (``_sum_tables``):
+
+    * if pi^{*2^j}(t) >= max P / 8, the left half is drawn iid through
+      ``dist.sample`` and kept with probability P(t - s) / max P, where s
+      is its sum: at most 8 tries on average;
+    * otherwise, as when a hub has landed in a small block and iid halves
+      almost never fit, the split s is drawn with weights P(s) P(t - s).
+
+    A block of one vertex gets degree t.  Given exact tables the output has
+    exactly the conditioned law; the tables are floats.
+
+    Float error budget.  Tables past ``_DIRECT_CONVOLVE_MAX`` are built by
+    numpy.fft.  For pmf inputs (||a||_1, ||b||_2 <= 1) an FFT convolution
+    of length N errs by a few eps log2(N) per entry (eps = 2^-52), and a
+    level passes its input's error on at most twice, so an entry of
+    pi^{*2^j} is off by at most e ~ 2^j eps log2(N).  Measured against
+    ``np.convolve`` on the beta = 2.5 power law, every table is off by less
+    than 1.1 eps at n = 10^4 (0.75 eps at n = 10^3).  Noise of that size
+    would give a tiny positive weight to a sum that no k degrees can reach,
+    and such a split would end in a degree of probability 0; so every entry
+    off k d_min + g Z (g the gcd of the support's gaps) or past k d_max is
+    set to exactly 0, and negative noise is clipped to 0.  A split whose
+    tables are off by e per entry has a law off by at most
+    2e / pi^{*2^j}(t) in total variation, and a block reaches sum t with
+    probability pi^{*2^j}(t) pi^{*(n-2^j)}(total - t) / pi^{*n}(total), so
+    over the fewer than n splits of a host the law is off by at most
+    2 n e / pi^{*n}(total): 2e-10 at n = 10^3, 2m = 1948 and 1.3e-8 at
+    n = 10^4, 2m = 19484 with the measured e.
+    """
+    levels, peaks, blocks = _sum_tables(dist, n, total)
+    degrees = np.empty(n, dtype=np.int64)
+    todo = []  # blocks (first vertex, j, sum) still to split, leftmost last
+    start = 0
+    for j, rest in blocks:
+        s = _draw_split(rng, levels[j], rest, total)
+        todo.append((start, j, s))
+        start += 1 << j
+        total -= s
+    todo.reverse()  # fill the vertices left to right
+    while todo:
+        start, j, t = todo.pop()
+        if j == 0:
+            degrees[start] = t
+            continue
+        half, peak, h = levels[j - 1], peaks[j - 1], 1 << (j - 1)
+        if levels[j][t] * 8 >= peak:
+            while True:
+                left = dist.sample(rng, h)
+                s = int(left.sum())
+                if s <= t and t - s < len(half) and rng.random() * peak < half[t - s]:
+                    break
+            degrees[start : start + h] = left
+            todo.append((start + h, j - 1, t - s))
+        else:
+            s = _draw_split(rng, half, half, t)
+            todo.append((start + h, j - 1, t - s))
+            todo.append((start, j - 1, s))
+    return degrees

@@ -182,7 +182,6 @@ def _piece_sets_with_full_union(host: Graph, copies: list[Subgraph], disjoint_on
                     yield k
 
 
-@lru_cache(maxsize=256)
 def patchwork_series(
     f: Graph,
     n_max: int,
@@ -197,15 +196,21 @@ def patchwork_series(
     patchwork.  ``disjoint_only`` keeps only sets of pairwise vertex-disjoint
     copies.  All piece counts are enumerated (exact inclusion-exclusion needs
     them); the number of copies per host is capped to keep the subset
-    lattice small.  Results are memoized (the t-slice extraction asks for the
-    same series once per t).
+    lattice small.  Results are memoized on the normalised call, so every
+    spelling of the same request is one cache entry (the t-slice extraction
+    asks for the same series once per t); ``patchwork_series.cache_info()``
+    and ``cache_clear()`` reach the memo.
     """
-    kind = kind or f.kind
-    if kind != f.kind:
+    if (kind or f.kind) != f.kind:
         raise ValueError("pattern kind must match the requested kind")
+    return _patchwork_series(f, n_max, m_max, bool(disjoint_only))
+
+
+@lru_cache(maxsize=256)
+def _patchwork_series(f: Graph, n_max: int, m_max: int, disjoint_only: bool) -> PatchworkSeries:
     if n_max > PATCHWORK_HOST_CAP[0] or m_max > PATCHWORK_HOST_CAP[1]:
         raise SizeCapError(f"patchwork caps are {PATCHWORK_HOST_CAP}")
-    multigraph = kind == "multigraph"
+    multigraph = f.kind == "multigraph"
     coeffs: dict[tuple[int, int, int], Fraction] = {(0, 0, 0): Fraction(1)}
     for n in range(0, n_max + 1):
         for m in range(0, m_max + 1):
@@ -234,4 +239,8 @@ def patchwork_series(
         (max(PATCHWORK_COPIES_CAP, max_k), m_max, n_max),
         coeffs,
     )
-    return PatchworkSeries(series, kind, n_max, m_max, max_k)
+    return PatchworkSeries(series, f.kind, n_max, m_max, max_k)
+
+
+patchwork_series.cache_info = _patchwork_series.cache_info
+patchwork_series.cache_clear = _patchwork_series.cache_clear

@@ -142,6 +142,21 @@ def test_determinism_across_workers():
     assert dumps[0] == dumps[1]
 
 
+def test_power_law_determinism_across_workers():
+    # each worker builds its own degree table and convolution tables; the
+    # hosts must not depend on which worker drew them
+    cfg = ExperimentConfig(
+        model="configuration", n=300, m=292, pattern="c3", replicates=24, seed=9,
+        delta="powerlaw:2.5", workers=1,
+    )
+    dumps = []
+    for workers in (1, 2):
+        data = E.run(dataclasses.replace(cfg, workers=workers)).to_json(include_runtime=False)
+        del data["config"]["workers"]  # the one field that differs by design
+        dumps.append(json.dumps(data, sort_keys=True))
+    assert dumps[0] == dumps[1]
+
+
 def test_workers_env_caps_config(monkeypatch):
     cfg = ExperimentConfig(
         model="uniform-multi", n=30, m=20, pattern="c3", replicates=8, seed=9, workers=2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphcensus import experiments as E
+from graphcensus import models as M
 from graphcensus import oracle as O
 from graphcensus.models import (
     DegreeDistribution,
@@ -270,6 +272,87 @@ def test_configuration_free_m():
         counts[sample_configuration(2, pi, rng, m=1).edge_seq] += 1
     for seq, cnt in counts.items():
         assert abs(cnt / reps - 0.25) < 0.02
+
+
+def test_conditioned_sum_infeasible_fails_fast(monkeypatch):
+    def no_draws(self, rng, size):
+        raise AssertionError("an infeasible sum must be refused before any draw")
+
+    monkeypatch.setattr(DegreeDistribution, "sample", no_draws)
+    pi = DegreeDistribution.from_pmf([0.0, 1.0])
+    with pytest.raises(ValueError, match=r"pi\^\*3\(2m\) = 0.*no 3 degrees.*2m = 4"):
+        sample_configuration(3, pi, derive_rng(73, 0), m=2)
+    power = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    with pytest.raises(ValueError, match="2m = 4"):
+        sample_configuration(5, power, derive_rng(73, 1), m=2)  # five degrees >= 1 sum to >= 5
+
+
+def test_free_m_odd_support_refused_before_sampling(monkeypatch):
+    def no_draws(self, rng, size):
+        raise AssertionError("an odd sum of odd degrees must be refused before any draw")
+
+    monkeypatch.setattr(DegreeDistribution, "sample", no_draws)
+    for n, pmf in ((3, [0.0, 1.0]), (5, [0.0, 0.5, 0.0, 0.5])):
+        with pytest.raises(ValueError, match="odd"):
+            sample_configuration(n, DegreeDistribution.from_pmf(pmf), derive_rng(79, n))
+    monkeypatch.undo()
+    assert sample_configuration(4, DegreeDistribution.from_pmf([0.0, 1.0]), derive_rng(79, 4)).m == 2
+
+
+def _check_degree_law(n, m, pi, law, reps, seed):
+    counts = Counter()
+    rng = derive_rng(seed, 0)
+    for _ in range(reps):
+        counts[sample_configuration(n, pi, rng, m=m).degrees()] += 1
+    assert set(counts) <= set(law), (n, m)
+    for key, p in law.items():
+        se = math.sqrt(p * (1 - p) / reps)
+        assert abs(counts.get(key, 0) / reps - p) <= 3.5 * se, (n, m, key, counts.get(key, 0), p * reps)
+
+
+def _power_law_degree_law(n, total, beta):
+    """P(d) proportional to prod_i d_i^-beta over vectors of n degrees >= 1 summing to total."""
+    weights = {}
+    for cuts in itertools.combinations(range(1, total), n - 1):
+        bounds = (0,) + cuts + (total,)
+        vec = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        weights[vec] = math.prod(d**-beta for d in vec)
+    norm = math.fsum(weights.values())
+    return {vec: w / norm for vec, w in weights.items()}
+
+
+def test_conditioned_power_law_degree_law_odd_sizes():
+    # n = 5 = 4 + 1 and n = 7 = 4 + 2 + 1: the sum is split between binary blocks
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    for n, m, seed in ((5, 4, 83), (7, 5, 89)):
+        _check_degree_law(n, m, pi, _power_law_degree_law(n, 2 * m, 2.5), 20_000, seed)
+
+
+def test_conditioned_power_law_past_the_table_cap():
+    # 2m = 70 > cap = 64: the tables need the exact tail pmf past the cap;
+    # both degrees of (d, 70 - d) are a hub for some d, so the one block of
+    # two vertices is split exactly, not by drawing a half iid
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.2), 1.0, table_cap=64)
+    levels, peaks, _ = M._sum_tables(pi, 2, 70)
+    assert levels[1][70] * 8 < peaks[0]  # the exact-split branch
+    _check_degree_law(2, 35, pi, _power_law_degree_law(2, 70, 2.2), 20_000, 101)
+
+
+def test_conditioned_power_law_hub_block_law():
+    # sum 10 on a block of four vertices needs a hub, so the block is split
+    # exactly, not by drawing a half iid
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    levels, peaks, _ = M._sum_tables(pi, 4, 10)
+    assert levels[2][10] * 8 < peaks[1]
+    _check_degree_law(4, 5, pi, _power_law_degree_law(4, 10, 2.5), 20_000, 103)
+
+
+def test_conditioned_power_law_hosts_at_n_1000():
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    for seed in range(300):
+        host = sample_configuration(1000, pi, derive_rng(seed, 0), m=974)
+        degrees = host.degrees()
+        assert host.m == 974 and min(degrees) >= 1 and sum(degrees) == 2 * 974
 
 
 def test_derive_rng_independence():

@@ -117,6 +117,18 @@ def test_disjoint_patchworks_equal_exp():
                     )
 
 
+def test_patchwork_cache_keys_on_the_normalised_call():
+    loop = G.loop()
+    O.patchwork_series.cache_clear()
+    first = O.patchwork_series(loop, 3, 2)
+    assert O.patchwork_series(loop, 3, 2, kind="multigraph") is first
+    assert O.patchwork_series(loop, n_max=3, m_max=2, kind="multigraph") is first
+    info = O.patchwork_series.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    with pytest.raises(ValueError):
+        O.patchwork_series(loop, 3, 2, kind="simple")
+
+
 def test_patchwork_caps_enforced():
     with pytest.raises(G.SizeCapError):
         O.patchwork_series(G.edge_multi(), 6, 5)
