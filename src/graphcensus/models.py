@@ -254,7 +254,7 @@ class DegreeDistribution:
         head = int(np.searchsorted(self.cum, 1.0 - 2e-3, side="left")) + 1
         self.head_len = min(max(head, 1), min(256, len(self.cum)))
         self.head_cum = self.cum[: self.head_len]
-        self.sum_tables: dict[tuple[int, int], tuple] = {}  # see _sum_tables
+        self.sum_tables: tuple | None = None  # ((n, total), tables) of the last _sum_tables call
 
     @staticmethod
     def from_weight_spec(delta: WeightSpec, x: float, table_cap: int = 1 << 16) -> "DegreeDistribution":
@@ -478,16 +478,19 @@ def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Ge
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
     Draws n Boltzmann degrees conditioned on summing to exactly 2m, then
-    pairs half-edges uniformly.  A finite degree table rejects whole vectors,
+    pairs half-edges uniformly.  A short degree table rejects whole vectors,
     drawn through their sufficient statistic: counts per degree value are
     multinomial, and given the counts the arrangement over vertices is a
-    uniform shuffle, which is exactly the law of n iid draws.  A table with a
-    power-law tail conditions on the sum directly (``_conditioned_degrees``).
+    uniform shuffle, which is exactly the law of n iid draws.  Power-law
+    tables, 2^16 columns long with or without a tail, condition on the sum
+    directly (``_conditioned_degrees``); the multinomial loop stays for the
+    short tables because it is several times faster there (0.16 against
+    1.4 ms a host for cubic weights at n = 3000).
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
     dist = _cached_distribution(delta, _tuning_for_sampler(delta, n, m))
-    if delta.kind == "finite" or not dist.tail_mass:
+    if delta.kind != "powerlaw":
         values = np.arange(len(dist.probs))
         pvals = dist.probs
         batch = 64
@@ -504,7 +507,7 @@ def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Ge
             attempts += batch
             batch = min(2 * batch, 8192)
         raise RuntimeError("rejection cap exceeded in delta sampler")
-    # heavy-tailed table: condition the iid degrees on their sum directly
+    # power-law table: condition the iid degrees on their sum directly
     return _assemble_multigraph(n, _conditioned_degrees(n, 2 * m, dist, rng), rng)
 
 
@@ -534,16 +537,25 @@ def sample_configuration(
 # degrees conditioned on their sum
 
 _DIRECT_CONVOLVE_MAX = 1 << 18  # len(a) * len(b) up to which np.convolve beats the FFT
+_TV_TOLERANCE = 1e-4  # total variation per host allowed to float tables: below the noise of 10^8 hosts
+_EPS = float(np.finfo(float).eps)
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
-    """(a * b)(0..top) for nonnegative a and b; numpy.fft for long inputs."""
+def _convolve(a: np.ndarray, b: np.ndarray, top: int) -> tuple[np.ndarray, float]:
+    """(a * b)(0..top) for nonnegative a and b, and its absolute error per entry.
+
+    Short inputs go to ``np.convolve``, which sums nonnegative products and
+    errs only relatively (0 is returned); long ones to numpy.fft, whose
+    output is off by about eps log2(N) ||a||_2 ||b||_2 per entry whatever
+    the entry's size.
+    """
     size = min(len(a) + len(b) - 1, top + 1)
     if len(a) * len(b) <= _DIRECT_CONVOLVE_MAX:
-        return np.convolve(a, b)[:size]
+        return np.convolve(a, b)[:size], 0.0
     nfft = 1 << (len(a) + len(b) - 2).bit_length()
     out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:size]
-    return np.maximum(out, 0.0, out=out)
+    # a @ a, not np.linalg.norm, whose first call imports numpy.linalg (0.3 s)
+    return out, _EPS * math.log2(nfft) * math.sqrt((a @ a) * (b @ b))
 
 
 def _split_weights(a: np.ndarray, b: np.ndarray, t: int) -> tuple[int, np.ndarray]:
@@ -557,6 +569,8 @@ def _draw_split(rng: np.random.Generator, a: np.ndarray, b: np.ndarray, t: int) 
     """s with probability proportional to a(s) b(t - s)."""
     lo, w = _split_weights(a, b, t)
     cum = np.cumsum(w)
+    if not cum[-1] > 0:  # only float noise gave this block its sum t
+        raise RuntimeError(f"float tables gave weight to a sum of probability 0 (t = {t})")
     k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     if k == len(w):  # u * cum[-1] rounded up to cum[-1]
         k = int(np.flatnonzero(w)[-1])
@@ -570,45 +584,54 @@ def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
     for every 2^j <= n and ``peaks[j]`` its maximum; ``blocks`` lists the
     binary blocks of n, largest first, as (j, pmf of the sum of the blocks
     after it), where the empty sum has pmf [1].  Built on first use and kept
-    on ``dist`` for a few (n, total) at a time.  Raises ``ValueError`` when
-    pi^{*n}(total) = 0.
+    on ``dist`` for the last (n, total) asked.  Raises ``ValueError`` when no n
+    degrees of positive probability sum to ``total``, and when
+    pi^{*n}(total) is too small for the tables' float error (see
+    ``_conditioned_degrees``).
     """
-    tables = dist.sum_tables.get((n, total))
-    if tables is not None:
-        return tables
+    if dist.sum_tables is not None and dist.sum_tables[0] == (n, total):
+        return dist.sum_tables[1]
     if n < 1:
         raise ValueError("need n >= 1")
-    infeasible = f"pi^*{n}(2m) = 0: no {n} degrees of positive probability sum to 2m = {total}"
     base = dist.pmf(total)
     support = np.flatnonzero(base)
-    if not support.size:
-        raise ValueError(infeasible)
+    low = int(support[0]) if support.size else 0
+    step = int(np.gcd.reduce(support - low)) if support.size else 0
+    off = total - n * low  # a sum of n degrees lies on n*low + step*Z
+    if not support.size or off < 0 or total > n * int(support[-1]) or (off % step if step else off):
+        raise ValueError(f"pi^*{n}(2m) = 0: no {n} degrees of positive probability sum to 2m = {total}")
     base = base[: support[-1] + 1]
-    low = int(support[0])
-    step = int(np.gcd.reduce(support - low))
+    error = 0.0  # summed error bound per entry of the FFT tables
 
-    def restore_zeros(table: np.ndarray, k: int) -> np.ndarray:
-        # a sum of k degrees lies on k*low + step*Z (only k*low if step == 0)
+    def power(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+        # a * b on 0..total for a sum of k degrees, which lies on k*low + step*Z
+        nonlocal error
+        table, err = _convolve(a, b, total)
+        error += err
         keep = np.zeros(len(table), dtype=bool)
         keep[k * low :: step or len(table)] = True
         table[~keep] = 0.0
-        return table
+        return np.maximum(table, 0.0, out=table)
 
     levels = [base]
     for j in range(1, n.bit_length()):
-        levels.append(restore_zeros(_convolve(levels[-1], levels[-1], total), 1 << j))
+        levels.append(power(levels[-1], levels[-1], 1 << j))
     sizes = [j for j in reversed(range(n.bit_length())) if n >> j & 1]
     rests = [np.ones(1)]
     k = 0
     for j in reversed(sizes[1:]):
         k += 1 << j
-        rests.append(restore_zeros(_convolve(levels[j], rests[-1], total), k))
+        rests.append(power(levels[j], rests[-1], k))
     rests.reverse()
-    if not _split_weights(levels[sizes[0]], rests[0], total)[1].sum() > 0:
-        raise ValueError(infeasible)
-    if len(dist.sum_tables) >= 4:  # a few sizes at a time, not every one ever asked
-        dist.sum_tables.pop(next(iter(dist.sum_tables)))
-    tables = dist.sum_tables[(n, total)] = (levels, [float(t.max()) for t in levels], list(zip(sizes, rests)))
+    mass = float(_split_weights(levels[sizes[0]], rests[0], total)[1].sum())  # pi^{*n}(total)
+    bound = 2 * n * (error + np.finfo(float).tiny) / mass if mass > 0 else math.inf
+    if bound > _TV_TOLERANCE:
+        raise ValueError(
+            f"pi^*{n}(2m) = {mass:.3g} at 2m = {total} is too small for float tables: "
+            f"the sampled law could be off by {bound:.3g} in total variation"
+        )
+    tables = (levels, [float(t.max()) for t in levels], list(zip(sizes, rests)))
+    dist.sum_tables = ((n, total), tables)
     return tables
 
 
@@ -631,33 +654,36 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
     exactly the conditioned law; the tables are floats.
 
     Float error budget.  Tables past ``_DIRECT_CONVOLVE_MAX`` are built by
-    numpy.fft.  For pmf inputs (||a||_1, ||b||_2 <= 1) an FFT convolution
-    of length N errs by a few eps log2(N) per entry (eps = 2^-52), and a
-    level passes its input's error on at most twice, so an entry of
-    pi^{*2^j} is off by at most e ~ 2^j eps log2(N).  Measured against
-    ``np.convolve`` on the beta = 2.5 power law, every table is off by less
-    than 1.1 eps at n = 10^4 (0.75 eps at n = 10^3).  Noise of that size
-    would give a tiny positive weight to a sum that no k degrees can reach,
-    and such a split would end in a degree of probability 0; so every entry
-    off k d_min + g Z (g the gcd of the support's gaps) or past k d_max is
-    set to exactly 0, and negative noise is clipped to 0.  A split whose
-    tables are off by e per entry has a law off by at most
+    numpy.fft, which errs by about e_c = eps log2(N) ||a||_2 ||b||_2 per
+    entry whatever the entry's size (eps = 2^-52; ``_convolve``).  Noise of
+    that size would give a tiny positive weight to a sum that no k degrees
+    can reach, and such a split would end in a degree of probability 0; so
+    every entry below k d_min or off k d_min + g Z (g the gcd of the
+    support's gaps) is set to exactly 0, and negative noise is clipped to
+    0.  The error per entry of every table is taken as e = the sum of e_c
+    over all the convolutions, which also covers the error a level passes
+    on to the next: on the beta = 2.5 power law at n = 10^4, 2m = 19484,
+    e = 21 eps while every table is within 1.06 eps of ``np.convolve``.  A
+    split whose tables are off by e per entry has a law off by at most
     2e / pi^{*2^j}(t) in total variation, and a block reaches sum t with
     probability pi^{*2^j}(t) pi^{*(n-2^j)}(total - t) / pi^{*n}(total), so
     over the fewer than n splits of a host the law is off by at most
-    2 n e / pi^{*n}(total): 2e-10 at n = 10^3, 2m = 1948 and 1.3e-8 at
-    n = 10^4, 2m = 19484 with the measured e.
+    2 n e / pi^{*n}(total): 4e-9, 3e-7 and 1.4e-5 at n = 10^3, 10^4 and
+    10^5 with the mean degree of that power law.  ``_sum_tables`` raises
+    ``ValueError`` when that bound, with e at least the smallest normal
+    float, exceeds ``_TV_TOLERANCE``, as for a total so far from n times
+    the mean degree that pi^{*n}(total) sinks toward the noise or
+    underflows.
     """
     levels, peaks, blocks = _sum_tables(dist, n, total)
     degrees = np.empty(n, dtype=np.int64)
-    todo = []  # blocks (first vertex, j, sum) still to split, leftmost last
+    todo = []  # blocks (first vertex, j, sum) still to split
     start = 0
     for j, rest in blocks:
         s = _draw_split(rng, levels[j], rest, total)
         todo.append((start, j, s))
         start += 1 << j
         total -= s
-    todo.reverse()  # fill the vertices left to right
     while todo:
         start, j, t = todo.pop()
         if j == 0:

@@ -321,8 +321,15 @@ def _power_law_degree_law(n, total, beta):
     return {vec: w / norm for vec, w in weights.items()}
 
 
-def test_conditioned_power_law_degree_law_odd_sizes():
+def _force_fft(monkeypatch, fft):
+    if fft:  # build every table by numpy.fft, as long tables are
+        monkeypatch.setattr(M, "_DIRECT_CONVOLVE_MAX", 0)
+
+
+@pytest.mark.parametrize("fft", [False, True])
+def test_conditioned_power_law_degree_law_odd_sizes(monkeypatch, fft):
     # n = 5 = 4 + 1 and n = 7 = 4 + 2 + 1: the sum is split between binary blocks
+    _force_fft(monkeypatch, fft)
     pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
     for n, m, seed in ((5, 4, 83), (7, 5, 89)):
         _check_degree_law(n, m, pi, _power_law_degree_law(n, 2 * m, 2.5), 20_000, seed)
@@ -338,9 +345,11 @@ def test_conditioned_power_law_past_the_table_cap():
     _check_degree_law(2, 35, pi, _power_law_degree_law(2, 70, 2.2), 20_000, 101)
 
 
-def test_conditioned_power_law_hub_block_law():
+@pytest.mark.parametrize("fft", [False, True])
+def test_conditioned_power_law_hub_block_law(monkeypatch, fft):
     # sum 10 on a block of four vertices needs a hub, so the block is split
     # exactly, not by drawing a half iid
+    _force_fft(monkeypatch, fft)
     pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
     levels, peaks, _ = M._sum_tables(pi, 4, 10)
     assert levels[2][10] * 8 < peaks[1]
@@ -353,6 +362,52 @@ def test_conditioned_power_law_hosts_at_n_1000():
         host = sample_configuration(1000, pi, derive_rng(seed, 0), m=974)
         degrees = host.degrees()
         assert host.m == 974 and min(degrees) >= 1 and sum(degrees) == 2 * 974
+
+
+def test_fft_tables_match_direct_with_exact_zeros(monkeypatch):
+    # FFT noise must not leave weight on sums no k degrees reach: below k * d_min,
+    # and off the lattice of a support with gaps (odd degrees: k + 2Z)
+    power = np.arange(1, 64.0) ** -2.5
+    for pmf, n, total in (([0.0, *power / power.sum()], 7, 40), ([0.0, 0.5, 0.0, 0.5], 6, 10)):
+        direct = M._sum_tables(DegreeDistribution.from_pmf(pmf), n, total)
+        monkeypatch.setattr(M, "_DIRECT_CONVOLVE_MAX", 0)
+        fft = M._sum_tables(DegreeDistribution.from_pmf(pmf), n, total)
+        monkeypatch.undo()
+        pairs = list(zip(direct[0], fft[0])) + [(a, b) for (_, a), (_, b) in zip(direct[2], fft[2])]
+        for a, b in pairs:
+            assert np.array_equal(a == 0, b == 0)
+            assert np.abs(a - b).max() < 1e-15
+
+
+def test_conditioned_sum_beyond_float_tables_refused(monkeypatch):
+    def no_draws(self, rng, size):
+        raise AssertionError("a sum the float tables cannot resolve must be refused before any draw")
+
+    monkeypatch.setattr(DegreeDistribution, "sample", no_draws)
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    # 2m = 1200 for 1000 degrees of mean 1.95: pi^*1000(1200) ~ 1e-24 sits under the FFT noise
+    with pytest.raises(ValueError, match="too small for float tables"):
+        sample_configuration(1000, pi, derive_rng(107, 0), m=600)
+    # every degree 1: feasible, but pi(1)^10000 underflows to 0
+    with pytest.raises(ValueError, match="too small for float tables"):
+        sample_configuration(10_000, pi, derive_rng(107, 1), m=5000)
+
+
+def test_split_of_zero_weight_is_an_error():
+    # tables that give a block a sum no split reaches must not pick a split
+    pmf = np.array([0.0, 1.0])
+    with pytest.raises(RuntimeError, match="probability 0"):
+        M._draw_split(derive_rng(109, 0), pmf, pmf, 1)
+
+
+def test_power_law_delta_sampler_off_the_mean():
+    # 2m/n = 1.5 tunes x < 1, whose table has 2^16 columns and no tail; it is
+    # conditioned on its sum directly, not by multinomial vectors over every column
+    spec = WeightSpec.power_law(2.5)
+    assert not M._cached_distribution(spec, M._tuning_for_sampler(spec, 10_000, 7500)).tail_mass
+    for seed in range(3):
+        host = sample_delta_multigraph(10_000, 7500, spec, derive_rng(113, seed))
+        assert host.m == 7500 and min(host.degrees()) >= 1
 
 
 def test_derive_rng_independence():
