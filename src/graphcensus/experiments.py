@@ -25,7 +25,6 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, permutations
 
 import numpy as np
@@ -42,12 +41,12 @@ from .graphs import (
 from .models import (
     DegreeDistribution,
     WeightSpec,
+    _tuning_for_sampler,
     derive_rng,
     sample_configuration,
     sample_delta_multigraph,
     sample_uniform_multigraph,
     sample_uniform_simple,
-    solve_tuning,
 )
 from .specialfuncs import chi_square_survival, poisson_pmf
 
@@ -540,45 +539,31 @@ class ExperimentReport:
         return out
 
 
-def _sample_host(config: ExperimentConfig, m: int | None, rng) -> Graph:
-    if config.model == "uniform-multi":
-        return sample_uniform_multigraph(config.n, m, rng)
-    if config.model == "uniform-simple":
-        return sample_uniform_simple(config.n, m, rng)
-    if config.model == "delta":
-        return sample_delta_multigraph(config.n, m, config.delta, rng)
-    if config.model == "configuration":
-        pi = DegreeDistribution.from_weight_spec(config.delta, _config_x(config))
-        return sample_configuration(config.n, pi, rng, m=m)
-    raise ValueError(f"unknown model {config.model!r}")
-
-
-def _config_x(config: ExperimentConfig) -> float:
-    m = config.resolved_m()
-    if m is None:
-        return 1.0
-    if config.delta.kind == "powerlaw":
-        return 1.0
-    return solve_tuning(config.delta, Fraction(2 * m, config.n))
-
-
-def _replicate_counts(config: ExperimentConfig, patterns, r: int, pi=None) -> tuple:
+def _replicate_counts(config: ExperimentConfig, m: int | None, pi: DegreeDistribution | None, patterns, r: int) -> tuple:
     rng = derive_rng(config.seed, r)
-    m = config.resolved_m()
-    if config.model == "configuration" and pi is not None:
+    if config.model == "uniform-multi":
+        host = sample_uniform_multigraph(config.n, m, rng)
+    elif config.model == "uniform-simple":
+        host = sample_uniform_simple(config.n, m, rng)
+    elif config.model == "delta":
+        host = sample_delta_multigraph(config.n, m, config.delta, rng)
+    elif config.model == "configuration":
         host = sample_configuration(config.n, pi, rng, m=m)
     else:
-        host = _sample_host(config, m, rng)
+        raise ValueError(f"unknown model {config.model!r}")
     return count_patterns(host, patterns)
 
 
 def _worker_chunk(payload) -> list[tuple]:
     config_json, patterns, start, stop = payload
     config = ExperimentConfig.from_json(config_json)
+    m = config.resolved_m()
     pi = None
     if config.model == "configuration":
-        pi = DegreeDistribution.from_weight_spec(config.delta, _config_x(config))
-    return [_replicate_counts(config, patterns, r, pi=pi) for r in range(start, stop)]
+        # the delta sampler's tuning, so both models draw alike; x = 1 when m is free
+        x = 1.0 if m is None else _tuning_for_sampler(config.delta, config.n, m)
+        pi = DegreeDistribution.from_weight_spec(config.delta, x)
+    return [_replicate_counts(config, m, pi, patterns, r) for r in range(start, stop)]
 
 
 def _resolve_workers(config: ExperimentConfig) -> int:

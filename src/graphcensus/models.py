@@ -25,7 +25,7 @@ from .graphs import Multigraph, SimpleGraph
 from .series import TruncatedSeries
 from .specialfuncs import polylog, stirling1_signed, zeta
 
-REJECTION_CAP = 10**7  # vertex-batch attempts before giving up
+REJECTION_CAP = 10**7  # free-m degree vectors drawn before an odd sum is given up on
 
 
 @dataclass(frozen=True)
@@ -413,9 +413,14 @@ def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) 
 def feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
     """Can ``total`` be written as a sum of n support elements of Delta?
 
-    Exact bitmask dynamic program over (sum, number of positive parts); a
-    zero in the support lets any part count up to n be padded.  Memoized:
-    samplers re-check the same (spec, n, 2m) triple for every replicate.
+    For a finite support with least element d_min, it can when
+    t = total - n d_min is a sum of at most n parts from
+    P = {d - d_min > 0}.  The fewest parts f(t) are found by dynamic
+    programming below p^2, p = max P; past it a sum with fewest parts
+    contains a p (of p or more parts below p, some nonempty subset sums to
+    a multiple of p, and so could be traded for fewer p's), so
+    f(t) = f(t - p) + 1.  Memoized: samplers re-check the same
+    (spec, n, 2m) triple for every replicate.
     """
     if total < 0:
         return False
@@ -430,23 +435,18 @@ def feasible_degree_sum(delta: WeightSpec, n: int, total: int) -> bool:
         return n >= 1 if total % 2 == 1 else n >= 2
     if delta.kind == "powerlaw":
         return total >= n
-    support = [d for d, c in enumerate(delta.coeffs) if c != 0]
-    has_zero = 0 in support
-    positive = [d for d in support if d > 0]
-    if not positive:
-        return total == 0
-    limit = (1 << (n + 1)) - 1
-    masks = [0] * (total + 1)
-    masks[0] = 1  # zero sum with zero positive parts
-    for s in range(1, total + 1):
-        acc = 0
-        for d in positive:
-            if d <= s:
-                acc |= masks[s - d] << 1
-        masks[s] = acc & limit
-    if has_zero:
-        return masks[total] != 0  # pad the remaining vertices with degree 0
-    return bool(masks[total] >> n & 1)
+    low = delta.support_min()
+    parts = [d - low for d, c in enumerate(delta.coeffs) if c != 0 and d > low]
+    t = total - n * low
+    if t <= 0 or not parts:
+        return t == 0
+    p = parts[-1]
+    steps = max(0, (t - p * p) // p + 1)  # parts of size p taken off t
+    t -= steps * p
+    fewest = [0] + [math.inf] * t
+    for s in range(1, t + 1):
+        fewest[s] = 1 + min((fewest[s - d] for d in parts if d <= s), default=math.inf)
+    return fewest[t] + steps <= n
 
 
 @lru_cache(maxsize=64)
@@ -459,12 +459,16 @@ def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
     """Tuning point for the conditioned sampler (memoized per (spec, n, m)).
 
     Conditioned on the degree sum, the law does not depend on x (the tilt
-    x^2m factors out), so x only drives the acceptance rate.  When 2m/n sits
+    x^2m factors out), so x only drives the sampler's cost.  When 2m/n sits
     on the boundary of a finite support the tuning equation has no root and
-    any interior surrogate works.
+    any interior surrogate works.  A power-law target at or above the
+    x = 1 mean zeta(beta-1)/zeta(beta), which no x <= 1 exceeds, takes
+    x = 1, whose table keeps the exact tail.
     """
     lo, hi = delta.support_min(), delta.support_max()
     target = Fraction(2 * m, n)
+    if delta.kind == "powerlaw" and delta.beta > 2 and target >= zeta(delta.beta - 1) / zeta(delta.beta):
+        return 1.0
     if lo < target < hi:
         return solve_tuning(delta, target)
     if hi == lo:
@@ -477,37 +481,12 @@ def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
 def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Generator) -> Multigraph:
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
-    Draws n Boltzmann degrees conditioned on summing to exactly 2m, then
-    pairs half-edges uniformly.  A short degree table rejects whole vectors,
-    drawn through their sufficient statistic: counts per degree value are
-    multinomial, and given the counts the arrangement over vertices is a
-    uniform shuffle, which is exactly the law of n iid draws.  Power-law
-    tables, 2^16 columns long with or without a tail, condition on the sum
-    directly (``_conditioned_degrees``); the multinomial loop stays for the
-    short tables because it is several times faster there (0.16 against
-    1.4 ms a host for cubic weights at n = 3000).
+    Draws n Boltzmann degrees conditioned on summing to exactly 2m
+    (``_conditioned_degrees``), then pairs half-edges uniformly.
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
     dist = _cached_distribution(delta, _tuning_for_sampler(delta, n, m))
-    if delta.kind != "powerlaw":
-        values = np.arange(len(dist.probs))
-        pvals = dist.probs
-        batch = 64
-        attempts = 0
-        while attempts < REJECTION_CAP:
-            counts = rng.multinomial(n, pvals, size=batch)
-            sums = counts @ values
-            hits = np.nonzero(sums == 2 * m)[0]
-            if hits.size:
-                chosen = counts[hits[0]]
-                degree_vector = np.repeat(values, chosen)
-                rng.shuffle(degree_vector)
-                return _assemble_multigraph(n, degree_vector, rng)
-            attempts += batch
-            batch = min(2 * batch, 8192)
-        raise RuntimeError("rejection cap exceeded in delta sampler")
-    # power-law table: condition the iid degrees on their sum directly
     return _assemble_multigraph(n, _conditioned_degrees(n, 2 * m, dist, rng), rng)
 
 
@@ -517,8 +496,9 @@ def sample_configuration(
     """Configuration-model sampler with degree distribution pi.
 
     Free-m variant rejects odd degree sums; the m-conditioned variant draws
-    the degrees conditioned on summing to exactly 2m (``_conditioned_degrees``).
-    Half-edge pairing is uniform, so with pi = pi_x the output law equals the
+    the degrees conditioned on summing to exactly 2m, as
+    ``sample_delta_multigraph`` does (``_conditioned_degrees``).  Half-edge
+    pairing is uniform, so with pi = pi_x the output law equals the
     Boltzmann sampler's law.
     """
     if m is None:
@@ -537,6 +517,7 @@ def sample_configuration(
 # degrees conditioned on their sum
 
 _DIRECT_CONVOLVE_MAX = 1 << 18  # len(a) * len(b) up to which np.convolve beats the FFT
+_MULTINOMIAL_MAX = 1 << 14  # largest len(pi) / pi^{*n}(total) sent to multinomial rejection
 _TV_TOLERANCE = 1e-4  # total variation per host allowed to float tables: below the noise of 10^8 hosts
 _EPS = float(np.finfo(float).eps)
 
@@ -580,14 +561,14 @@ def _draw_split(rng: np.random.Generator, a: np.ndarray, b: np.ndarray, t: int) 
 def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
     """Convolution powers of ``dist``'s pmf for n degrees summing to ``total``.
 
-    Returns (levels, peaks, blocks): ``levels[j]`` is pi^{*2^j} on 0..total
-    for every 2^j <= n and ``peaks[j]`` its maximum; ``blocks`` lists the
-    binary blocks of n, largest first, as (j, pmf of the sum of the blocks
-    after it), where the empty sum has pmf [1].  Built on first use and kept
-    on ``dist`` for the last (n, total) asked.  Raises ``ValueError`` when no n
-    degrees of positive probability sum to ``total``, and when
-    pi^{*n}(total) is too small for the tables' float error (see
-    ``_conditioned_degrees``).
+    Returns (levels, peaks, blocks, mass): ``levels[j]`` is pi^{*2^j} on
+    0..total for every 2^j <= n and ``peaks[j]`` its maximum; ``blocks``
+    lists the binary blocks of n, largest first, as (j, pmf of the sum of
+    the blocks after it), where the empty sum has pmf [1]; ``mass`` is
+    pi^{*n}(total).  Built on first use and kept on ``dist`` for the last
+    (n, total) asked.  Raises ``ValueError`` when no n degrees of positive
+    probability sum to ``total``, and when pi^{*n}(total) is too small for
+    the tables' float error (see ``_conditioned_degrees``).
     """
     if dist.sum_tables is not None and dist.sum_tables[0] == (n, total):
         return dist.sum_tables[1]
@@ -630,7 +611,7 @@ def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
             f"pi^*{n}(2m) = {mass:.3g} at 2m = {total} is too small for float tables: "
             f"the sampled law could be off by {bound:.3g} in total variation"
         )
-    tables = (levels, [float(t.max()) for t in levels], list(zip(sizes, rests)))
+    tables = (levels, [float(t.max()) for t in levels], list(zip(sizes, rests)), mass)
     dist.sum_tables = ((n, total), tables)
     return tables
 
@@ -638,11 +619,19 @@ def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
 def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.random.Generator) -> np.ndarray:
     """n iid draws from ``dist`` conditioned on summing to ``total``, exactly.
 
-    Divide and conquer on the conditional laws of partial sums (Devroye,
+    The strategy is picked from pi^{*n}(total), which ``_sum_tables``
+    computes.  A table with no tail whose length K is at most
+    ``_MULTINOMIAL_MAX`` pi^{*n}(total) rejects whole vectors, drawn
+    through their sufficient statistic: counts per degree value are
+    multinomial, and given the counts the arrangement over vertices is a
+    uniform shuffle, which is exactly the law of n iid draws.  Its expected
+    1/pi^{*n}(total) vectors of K counts each cost at most
+    ``_MULTINOMIAL_MAX`` counts.  Every other table goes to divide and
+    conquer on the conditional laws of partial sums (Devroye,
     *Non-Uniform Random Variate Generation*, 1986, on conditioning and
     sums).  The total is split between the binary blocks of n by their
     exact conditional law; a block of 2^j vertices with sum t is then
-    halved, with P = pi^{*2^(j-1)} (``_sum_tables``):
+    halved, with P = pi^{*2^(j-1)}:
 
     * if pi^{*2^j}(t) >= max P / 8, the left half is drawn iid through
       ``dist.sample`` and kept with probability P(t - s) / max P, where s
@@ -675,7 +664,18 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
     the mean degree that pi^{*n}(total) sinks toward the noise or
     underflows.
     """
-    levels, peaks, blocks = _sum_tables(dist, n, total)
+    levels, peaks, blocks, mass = _sum_tables(dist, n, total)
+    if not dist.tail_mass and len(dist.probs) <= _MULTINOMIAL_MAX * mass:
+        values = np.arange(len(dist.probs))
+        batch = 64
+        while True:
+            counts = rng.multinomial(n, dist.probs, size=batch)
+            hits = np.nonzero(counts @ values == total)[0]
+            if hits.size:
+                degrees = np.repeat(values, counts[hits[0]])
+                rng.shuffle(degrees)
+                return degrees
+            batch = min(2 * batch, 8192)
     degrees = np.empty(n, dtype=np.int64)
     todo = []  # blocks (first vertex, j, sum) still to split
     start = 0

@@ -157,6 +157,29 @@ def test_power_law_determinism_across_workers():
     assert dumps[0] == dumps[1]
 
 
+@pytest.mark.parametrize(
+    "n, m, delta, replicates",
+    [
+        (4, 6, "finite:1,1,1,1", 200),  # 2m/n = 3 on the boundary of the support
+        (30, 20, "finite:1,1,1,1", 200),
+        (1000, 974, "powerlaw:2.5", 6),  # 2m/n just above the x = 1 mean degree
+    ],
+)
+def test_delta_and_configuration_models_draw_alike(n, m, delta, replicates):
+    # both models tune the same table and condition it on 2m by one sampler
+    patterns = ["loop", "double-edge", "c3"]
+    reports = [
+        E.run_many(
+            ExperimentConfig(model=model, n=n, m=m, delta=delta, pattern=patterns,
+                             replicates=replicates, seed=17, workers=1),
+            patterns,
+        )
+        for model in ("delta", "configuration")
+    ]
+    for pattern in patterns:
+        assert reports[0][pattern].empirical_pmf == reports[1][pattern].empirical_pmf, pattern
+
+
 def test_workers_env_caps_config(monkeypatch):
     cfg = ExperimentConfig(
         model="uniform-multi", n=30, m=20, pattern="c3", replicates=8, seed=9, workers=2

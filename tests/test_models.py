@@ -148,9 +148,27 @@ def test_feasibility():
     assert feasible_degree_sum(WeightSpec.sinh_plus_one(), 3, 4)
     assert feasible_degree_sum(WeightSpec.power_law(2.5), 3, 5)
     assert not feasible_degree_sum(WeightSpec.power_law(2.5), 3, 2)
+    n = 10**6  # the table of fewest parts stays below p^2 whatever n and the total
+    assert feasible_degree_sum(CUBIC, n, 3 * n // 2)
+    two_or_five = WeightSpec.finite([0, 0, 1, 0, 0, 1])  # sums 2n + 3k, 0 <= k <= n
+    assert feasible_degree_sum(two_or_five, n, 2 * n + 3 * (n - 1))
+    assert not feasible_degree_sum(two_or_five, n, 5 * n - 1)
+    assert not feasible_degree_sum(two_or_five, n, 5 * n + 3)
     with pytest.raises(ValueError):
         # support {0, 3} cannot produce a degree sum of 2
         sample_delta_multigraph(2, 1, WeightSpec.finite([1, 0, 0, 1]), derive_rng(0, 0))
+
+
+def test_feasibility_matches_enumeration():
+    # every support within {0..6}, up to five vertices, every total
+    for bits in range(1, 1 << 7):
+        spec = WeightSpec.finite([bits >> d & 1 for d in range(7)])
+        support = [d for d in range(7) if bits >> d & 1]
+        sums = {0}
+        for n in range(1, 6):
+            sums = {s + d for s in sums for d in support}
+            for total in range(-1, 6 * n + 3):
+                assert feasible_degree_sum(spec, n, total) == (total in sums), (support, n, total)
 
 
 def test_uniform_multigraph_loop_frequency():
@@ -299,15 +317,62 @@ def test_free_m_odd_support_refused_before_sampling(monkeypatch):
     assert sample_configuration(4, DegreeDistribution.from_pmf([0.0, 1.0]), derive_rng(79, 4)).m == 2
 
 
+class _MultinomialSpy:
+    """A generator that counts its multinomial calls and passes every call on."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.multinomial_calls = 0
+
+    def multinomial(self, *args, **kwargs):
+        self.multinomial_calls += 1
+        return self.rng.multinomial(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def _check_degree_law(n, m, pi, law, reps, seed):
+    """Degree-vector frequencies within 3.5 sigma of ``law``; returns the multinomial calls."""
     counts = Counter()
-    rng = derive_rng(seed, 0)
+    rng = _MultinomialSpy(derive_rng(seed, 0))
     for _ in range(reps):
         counts[sample_configuration(n, pi, rng, m=m).degrees()] += 1
     assert set(counts) <= set(law), (n, m)
     for key, p in law.items():
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(counts.get(key, 0) / reps - p) <= 3.5 * se, (n, m, key, counts.get(key, 0), p * reps)
+    return rng.multinomial_calls
+
+
+def _finite_degree_law(spec, n, total):
+    """P(d) proportional to prod_i delta_{d_i} / d_i! over vectors of n degrees summing to total."""
+    weights = {}
+    for vec in itertools.product(range(len(spec.coeffs)), repeat=n):
+        w = math.prod(spec.delta(d) / math.factorial(d) for d in vec)
+        if sum(vec) == total and w:
+            weights[vec] = w
+    norm = sum(weights.values())
+    return {vec: float(w / norm) for vec, w in weights.items()}
+
+
+@pytest.mark.parametrize("strategy, seeds", [("multinomial", (181, 191)), ("split", (193, 197))])
+def test_conditioned_short_table_law_by_either_strategy(monkeypatch, strategy, seeds):
+    # each strategy forced through the constant that picks it, on the same short tables
+    monkeypatch.setattr(M, "_MULTINOMIAL_MAX", math.inf if strategy == "multinomial" else 0)
+    for (spec, n, m), seed in zip(((CUBIC, 5, 4), (WeightSpec.finite([1, 1, 1]), 7, 5)), seeds):
+        pi = DegreeDistribution.from_weight_spec(spec, 1.0)
+        calls = _check_degree_law(n, m, pi, _finite_degree_law(spec, n, 2 * m), 20_000, seed)
+        assert (calls > 0) == (strategy == "multinomial")
+
+
+def test_short_table_with_a_tail_is_split():
+    # 65 columns and pi^*5(8) of a few percent would pass the multinomial rule,
+    # but multinomial counts cannot draw the tail past the cap
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.2), 1.0, table_cap=64)
+    *_, mass = M._sum_tables(pi, 5, 8)
+    assert len(pi.probs) <= M._MULTINOMIAL_MAX * mass and pi.tail_mass
+    assert _check_degree_law(5, 4, pi, _power_law_degree_law(5, 8, 2.2), 20_000, 137) == 0
 
 
 def _power_law_degree_law(n, total, beta):
@@ -332,7 +397,7 @@ def test_conditioned_power_law_degree_law_odd_sizes(monkeypatch, fft):
     _force_fft(monkeypatch, fft)
     pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
     for n, m, seed in ((5, 4, 83), (7, 5, 89)):
-        _check_degree_law(n, m, pi, _power_law_degree_law(n, 2 * m, 2.5), 20_000, seed)
+        assert _check_degree_law(n, m, pi, _power_law_degree_law(n, 2 * m, 2.5), 20_000, seed) == 0
 
 
 def test_conditioned_power_law_past_the_table_cap():
@@ -340,7 +405,7 @@ def test_conditioned_power_law_past_the_table_cap():
     # both degrees of (d, 70 - d) are a hub for some d, so the one block of
     # two vertices is split exactly, not by drawing a half iid
     pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.2), 1.0, table_cap=64)
-    levels, peaks, _ = M._sum_tables(pi, 2, 70)
+    levels, peaks, _, _ = M._sum_tables(pi, 2, 70)
     assert levels[1][70] * 8 < peaks[0]  # the exact-split branch
     _check_degree_law(2, 35, pi, _power_law_degree_law(2, 70, 2.2), 20_000, 101)
 
@@ -351,7 +416,7 @@ def test_conditioned_power_law_hub_block_law(monkeypatch, fft):
     # exactly, not by drawing a half iid
     _force_fft(monkeypatch, fft)
     pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
-    levels, peaks, _ = M._sum_tables(pi, 4, 10)
+    levels, peaks, _, _ = M._sum_tables(pi, 4, 10)
     assert levels[2][10] * 8 < peaks[1]
     _check_degree_law(4, 5, pi, _power_law_degree_law(4, 10, 2.5), 20_000, 103)
 
@@ -406,8 +471,9 @@ def test_power_law_delta_sampler_off_the_mean():
     spec = WeightSpec.power_law(2.5)
     assert not M._cached_distribution(spec, M._tuning_for_sampler(spec, 10_000, 7500)).tail_mass
     for seed in range(3):
-        host = sample_delta_multigraph(10_000, 7500, spec, derive_rng(113, seed))
-        assert host.m == 7500 and min(host.degrees()) >= 1
+        rng = _MultinomialSpy(derive_rng(113, seed))
+        host = sample_delta_multigraph(10_000, 7500, spec, rng)
+        assert host.m == 7500 and min(host.degrees()) >= 1 and rng.multinomial_calls == 0
 
 
 def test_derive_rng_independence():
