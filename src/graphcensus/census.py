@@ -1,19 +1,27 @@
-"""Exact counting formulas realized on the truncated-series engine.
+"""Exact counting formulas, each read off as one finite coefficient sum.
 
-All results are exact rationals.  The three building blocks:
+All results are exact rationals.  Each answer is one coefficient of a
+product of generating functions, computed as a sum over the monomials of the
+family (or patchwork) series times the other factors' closed-form
+coefficients.  The three building blocks:
 
 * distinguished totals -- a host with one distinguished copy from a family
   factors as (family EGF) x (set of extra vertices) x (set of extra edges),
   so the count is a single coefficient of F(z,w) e^z e^{n^2 w/2} for
   multigraphs, respectively F(z, w/(1+w)) e^z (1+w)^binom(n,2) for simple
-  graphs;
+  graphs.  A piece z^a w^b of F contributes (n)_a (m)_b 2^b n^{2(m-b)} for
+  multigraphs, respectively (n)_a binom(binom(n,2) - b, m - b) for simple graphs;
 
 * degree-weighted totals -- the half-edge construction gives the weighted
   host count (2m)! [x^{2m}] Delta(x)^n, and a distinguished copy turns each
-  degree mark y_d into the series Delta^(d)(x);
+  degree mark y_d into the series Delta^(d)(x).  As [z^k] e^{z Delta} =
+  Delta^k / k!, a piece needs Delta^{n-a} on x^0..x^{2m} only, which J. C. P.
+  Miller's recurrence (Knuth, TAOCP 2, 4.7) gives for r = Delta / x^{d_min}:
+  q = r^k has q_0 = r_0^k, q_s = sum_{i=1..s} ((k+1) i - s) r_i q_{s-i} / (s r_0);
 
 * exact t-copy counts -- inclusion-exclusion over patchworks: substitute
-  u -> u - 1 into the patchwork series and read off [u^t].
+  u -> u - 1 into the patchwork series and read off [u^t], using
+  [u^t] (u-1)^k = binom(k,t) (-1)^{k-t}.
 """
 
 from __future__ import annotations
@@ -25,114 +33,108 @@ from typing import Iterable
 from .graphs import Graph, as_family, aut_count
 from .models import WeightSpec
 from .oracle import patchwork_series
-from .series import TruncatedSeries, family_egf
+
+
+def _check_size(n: int, m: int) -> None:
+    if n < 0 or m < 0:
+        raise ValueError(f"n and m must be nonnegative, got n={n}, m={m}")
 
 
 def mg_total(n: int, m: int) -> int:
     """Number of canonical (n,m)-multigraphs: n^(2m)."""
+    _check_size(n, m)
     return n ** (2 * m)
 
 
 def sg_total(n: int, m: int) -> int:
     """Number of canonical simple (n,m)-graphs: binom(binom(n,2), m)."""
+    _check_size(n, m)
     return math.comb(math.comb(n, 2), m)
 
 
-def _exp_z(n: int) -> TruncatedSeries:
-    coeffs = {(k,): Fraction(1, math.factorial(k)) for k in range(n + 1)}
-    return TruncatedSeries(("z",), (n,), coeffs)
-
-
-def _exp_edges(n: int, m: int) -> TruncatedSeries:
-    half_n2 = Fraction(n * n, 2)
-    coeffs = {(j,): half_n2**j / math.factorial(j) for j in range(m + 1)}
-    return TruncatedSeries(("w",), (m,), coeffs)
-
-
-def _binom_edges(n: int, m: int) -> TruncatedSeries:
-    pairs = math.comb(n, 2)
-    coeffs = {(j,): Fraction(math.comb(pairs, j)) for j in range(m + 1)}
-    return TruncatedSeries(("w",), (m,), coeffs)
+def _hosts(n: int, m: int, a: int, b: int, kind: str) -> int:
+    """n! 2^m m! [z^n w^m] z^a w^b e^z e^{n^2 w/2} (multigraph), respectively
+    n! [z^n w^m] z^a (w/(1+w))^b e^z (1+w)^binom(n,2) (simple)."""
+    if a > n or b > m:
+        return 0
+    if kind == "multigraph":
+        return math.perm(n, a) * math.perm(m, b) * 2**b * n ** (2 * (m - b))
+    return math.perm(n, a) * math.comb(math.comb(n, 2) - b, m - b)
 
 
 def mg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fraction:
     """Total number of (n,m)-multigraphs with one distinguished family copy.
 
-    n! 2^m m! [z^n w^m] F(z,w) e^z e^{n^2 w / 2}.
+    n! 2^m m! [z^n w^m] F(z,w) e^z e^{n^2 w / 2}
+    = sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} n^{2(m - m_F)} / aut F.
     """
-    shapes = as_family(family)
-    if not shapes:
-        return Fraction(0)
-    f = family_egf(shapes, n, m)
-    series = f * _exp_z(n) * _exp_edges(n, m)
-    coeff = series.extract({"z": n, "w": m})
-    return coeff * math.factorial(n) * 2**m * math.factorial(m)
+    _check_size(n, m)
+    return sum((Fraction(_hosts(n, m, f.n, f.m, "multigraph"), aut_count(f)) for f in as_family(family)), Fraction(0))
 
 
 def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fraction:
     """Total number of simple (n,m)-graphs with one distinguished family copy.
 
-    n! [z^n w^m] F(z, w/(1+w)) e^z (1+w)^binom(n,2).
+    n! [z^n w^m] F(z, w/(1+w)) e^z (1+w)^binom(n,2)
+    = sum_F (n)_{n_F} binom(binom(n,2) - m_F, m - m_F) / aut F.
     """
-    shapes = as_family(family)
-    if not shapes:
+    _check_size(n, m)
+    return sum((Fraction(_hosts(n, m, f.n, f.m, "simple"), aut_count(f)) for f in as_family(family)), Fraction(0))
+
+
+def _power(r: list[Fraction], k: int, cap: int) -> list[Fraction]:
+    """x^0..x^cap of (sum_i r_i x^i)^k, by Miller's recurrence after shifting out x^lo."""
+    out = [Fraction(0)] * (cap + 1)
+    lo = next((d for d, c in enumerate(r) if c), cap + 1)
+    if lo > cap or k * lo > cap:
+        out[0] = Fraction(int(k == 0))
+        return out
+    r = r[lo:]
+    support = [(i, c) for i, c in enumerate(r) if i and c]
+    q = [r[0] ** k]
+    for s in range(1, cap - k * lo + 1):
+        q.append(sum(((k + 1) * i - s) * c * q[s - i] for i, c in support if i <= s) / (s * r[0]))
+    out[k * lo :] = q
+    return out
+
+
+def _weighted_hosts(n: int, m: int, delta: WeightSpec, a: int, b: int, degrees: tuple[int, ...]) -> Fraction:
+    """Weighted _hosts for a piece with these vertex degrees, with j = m - b:
+    (n)_a (m)_b 2^b (2j)! [x^{2j}] prod_v Delta^(d_v)(x) Delta(x)^{n-a}."""
+    if a > n or b > m:
         return Fraction(0)
-    f = family_egf(shapes, n, m).substitute_w_over_1pw()
-    series = f * _exp_z(n) * _binom_edges(n, m)
-    coeff = series.extract({"z": n, "w": m})
-    return coeff * math.factorial(n)
+    poly, cap = delta.egf_poly(2 * m), 2 * (m - b)
+    egf = [poly.extract({"x": d}) for d in range(2 * m + 1)]
+    marks = [Fraction(1)] + [Fraction(0)] * cap  # prod_v Delta^(d_v) up to x^cap
+    for d in degrees:
+        deriv = [(i, egf[i + d] * math.perm(i + d, d)) for i in range(cap + 1) if egf[i + d]]
+        marks = [sum((c * marks[s - i] for i, c in deriv if i <= s), Fraction(0)) for s in range(cap + 1)]
+    power = _power(egf, n - a, cap)
+    coeff = sum((c * power[cap - i] for i, c in enumerate(marks) if c), Fraction(0))
+    return coeff * math.perm(n, a) * math.perm(m, b) * 2**b * math.factorial(cap)
 
 
 def mg_weighted_total(n: int, m: int, delta: WeightSpec) -> Fraction:
     """Total weight of (n,m)-multigraphs: (2m)! [x^{2m}] Delta(x)^n."""
-    poly = delta.egf_poly(2 * m)
-    coeff = poly.pow(n).extract({"x": 2 * m})
-    return coeff * math.factorial(2 * m)
+    _check_size(n, m)
+    return _weighted_hosts(n, m, delta, 0, 0, ())
 
 
-def mg_distinguished_weighted(
-    n: int, m: int, delta: WeightSpec, family: Graph | Iterable[Graph]
-) -> Fraction:
+def mg_distinguished_weighted(n: int, m: int, delta: WeightSpec, family: Graph | Iterable[Graph]) -> Fraction:
     """Total weight of (n,m,Delta)-multigraphs with one distinguished copy.
 
     n! 2^m m! [z^n w^m] sum_j (2j)! [x^{2j}] F(z, w, dbar Delta(x))
     e^{z Delta(x)} w^j / (2^j j!), where the degree mark y_d receives the
-    series Delta^(d)(x).  The w-cap bounds j by m, so the sum is finite.
+    series Delta^(d)(x).  Only j = m - m_F survives for a shape F, so this is
+    sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} (2j)! [x^{2j}] prod_v Delta^(d_v) Delta^{n-n_F} / aut F.
     """
+    _check_size(n, m)
     shapes = as_family(family)
-    if not shapes:
-        return Fraction(0)
-    x_cap = 2 * m
-    caps = {"z": n, "w": m, "x": x_cap}
-    delta_poly = delta.egf_poly(x_cap)
-    # F with each vertex of degree d contributing Delta^(d)(x)
-    f_total = TruncatedSeries.zero(("w", "x", "z"), (m, x_cap, n))
-    for shape in shapes:
-        if shape.n > n or shape.m > m:
-            continue
-        term = TruncatedSeries.monomial(
-            {"z": shape.n, "w": shape.m}, Fraction(1, aut_count(shape)), caps
-        )
-        for d in shape.degrees():
-            term = term * delta_poly.derivative("x", d)
-        f_total = f_total + term
-    z_delta = TruncatedSeries.monomial({"z": 1}, 1, caps) * delta_poly
-    series = f_total * z_delta.exp()
-    total = Fraction(0)
-    for j in range(m + 1):
-        coeff = series.extract({"z": n, "w": m - j, "x": 2 * j})
-        if coeff:
-            total += coeff * Fraction(math.factorial(2 * j), 2**j * math.factorial(j))
-    return total * math.factorial(n) * 2**m * math.factorial(m)
+    return sum((_weighted_hosts(n, m, delta, f.n, f.m, f.degrees()) / aut_count(f) for f in shapes), Fraction(0))
 
 
-def expected_count(
-    n: int,
-    m: int,
-    family: Graph | Iterable[Graph],
-    delta: WeightSpec | None = None,
-    kind: str = "multigraph",
-) -> Fraction:
+def expected_count(n: int, m: int, family: Graph | Iterable[Graph], delta: WeightSpec | None = None,
+                   kind: str = "multigraph") -> Fraction:
     """Expected number of family copies in a random (n,m[,Delta])-(multi)graph."""
     if kind == "multigraph":
         if delta is None:
@@ -157,20 +159,18 @@ def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigra
     """Number of (n,m) hosts containing exactly t copies of f.
 
     Patchwork inclusion-exclusion: substitute u -> u-1 in the patchwork
-    series and extract [u^t] of the distinguished-patchwork total.
+    series and extract [u^t] of the distinguished-patchwork total: the sum
+    over patchwork monomials c u^k w^b z^a of c binom(k,t) (-1)^{k-t} _hosts(n, m, a, b).
     """
+    _check_size(n, m)
+    if t < 0:
+        raise ValueError(f"copy count t must be nonnegative, got t={t}")
     if kind != f.kind:
         raise ValueError("pattern kind must match host kind")
-    patch = patchwork_series(f, n_max=n, m_max=m, kind=kind)
-    series = patch.series.substitute_shift("u", -1)
-    if kind == "multigraph":
-        series = series * _exp_z(n) * _exp_edges(n, m)
-        coeff = series.extract({"z": n, "w": m, "u": t}) if t <= series.caps[series.variables.index("u")] else Fraction(0)
-        return coeff * math.factorial(n) * 2**m * math.factorial(m)
-    series = series.substitute_w_over_1pw()
-    series = series * _exp_z(n) * _binom_edges(n, m)
-    coeff = series.extract({"z": n, "w": m, "u": t}) if t <= series.caps[series.variables.index("u")] else Fraction(0)
-    return coeff * math.factorial(n)
+    coeffs = patchwork_series(f, n_max=n, m_max=m, kind=kind).series.coeffs  # keyed (u, w, z)
+    terms = (c * math.comb(k, t) * (-1) ** (k - t) * _hosts(n, m, a, b, kind)
+             for (k, b, a), c in coeffs.items() if k >= t)
+    return sum(terms, Fraction(0))
 
 
 def f_free_count(n: int, m: int, f: Graph, kind: str = "multigraph") -> Fraction:

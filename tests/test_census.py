@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,9 @@ from graphcensus import census as C
 from graphcensus import graphs as G
 from graphcensus import oracle as O
 from graphcensus.models import WeightSpec
+from graphcensus.series import TruncatedSeries, family_egf
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_totals():
@@ -93,3 +100,206 @@ def test_distinguished_weighted_uniform_reduction():
     for n, m in ((2, 1), (2, 2), (3, 2)):
         for fam in (G.loop(), G.edge_multi(), G.path_multi(3)):
             assert C.mg_distinguished_weighted(n, m, WeightSpec.exponential(), fam) == C.mg_distinguished(n, m, fam)
+
+
+# ---------------------------------------------------------------------------
+# The same formulas as whole truncated-series products: each one builds the
+# full product and reads one entry off it.  Slow, but a literal transcription
+# of the generating-function statements, so it serves as the test oracle.
+
+
+def _exp_z(n: int) -> TruncatedSeries:
+    coeffs = {(k,): Fraction(1, math.factorial(k)) for k in range(n + 1)}
+    return TruncatedSeries(("z",), (n,), coeffs)
+
+
+def _exp_edges(n: int, m: int) -> TruncatedSeries:
+    half_n2 = Fraction(n * n, 2)
+    coeffs = {(j,): half_n2**j / math.factorial(j) for j in range(m + 1)}
+    return TruncatedSeries(("w",), (m,), coeffs)
+
+
+def _binom_edges(n: int, m: int) -> TruncatedSeries:
+    pairs = math.comb(n, 2)
+    coeffs = {(j,): Fraction(math.comb(pairs, j)) for j in range(m + 1)}
+    return TruncatedSeries(("w",), (m,), coeffs)
+
+
+def series_mg_distinguished(n, m, family):
+    shapes = G.as_family(family)
+    if not shapes:
+        return Fraction(0)
+    f = family_egf(shapes, n, m)
+    series = f * _exp_z(n) * _exp_edges(n, m)
+    coeff = series.extract({"z": n, "w": m})
+    return coeff * math.factorial(n) * 2**m * math.factorial(m)
+
+
+def series_sg_distinguished(n, m, family):
+    shapes = G.as_family(family)
+    if not shapes:
+        return Fraction(0)
+    f = family_egf(shapes, n, m).substitute_w_over_1pw()
+    series = f * _exp_z(n) * _binom_edges(n, m)
+    coeff = series.extract({"z": n, "w": m})
+    return coeff * math.factorial(n)
+
+
+def series_mg_weighted_total(n, m, delta):
+    poly = delta.egf_poly(2 * m)
+    coeff = poly.pow(n).extract({"x": 2 * m})
+    return coeff * math.factorial(2 * m)
+
+
+def series_mg_distinguished_weighted(n, m, delta, family):
+    shapes = G.as_family(family)
+    if not shapes:
+        return Fraction(0)
+    x_cap = 2 * m
+    caps = {"z": n, "w": m, "x": x_cap}
+    delta_poly = delta.egf_poly(x_cap)
+    # F with each vertex of degree d contributing Delta^(d)(x)
+    f_total = TruncatedSeries.zero(("w", "x", "z"), (m, x_cap, n))
+    for shape in shapes:
+        if shape.n > n or shape.m > m:
+            continue
+        term = TruncatedSeries.monomial(
+            {"z": shape.n, "w": shape.m}, Fraction(1, G.aut_count(shape)), caps
+        )
+        for d in shape.degrees():
+            term = term * delta_poly.derivative("x", d)
+        f_total = f_total + term
+    z_delta = TruncatedSeries.monomial({"z": 1}, 1, caps) * delta_poly
+    series = f_total * z_delta.exp()
+    total = Fraction(0)
+    for j in range(m + 1):
+        coeff = series.extract({"z": n, "w": m - j, "x": 2 * j})
+        if coeff:
+            total += coeff * Fraction(math.factorial(2 * j), 2**j * math.factorial(j))
+    return total * math.factorial(n) * 2**m * math.factorial(m)
+
+
+def series_count_with_exactly_t(n, m, f, t, kind="multigraph"):
+    patch = O.patchwork_series(f, n_max=n, m_max=m, kind=kind)
+    series = patch.series.substitute_shift("u", -1)
+    if kind == "multigraph":
+        series = series * _exp_z(n) * _exp_edges(n, m)
+        coeff = series.extract({"z": n, "w": m, "u": t}) if t <= series.caps[series.variables.index("u")] else Fraction(0)
+        return coeff * math.factorial(n) * 2**m * math.factorial(m)
+    series = series.substitute_w_over_1pw()
+    series = series * _exp_z(n) * _binom_edges(n, m)
+    coeff = series.extract({"z": n, "w": m, "u": t}) if t <= series.caps[series.variables.index("u")] else Fraction(0)
+    return coeff * math.factorial(n)
+
+
+MULTI_NAMES = ("loop", "edge", "double-edge", "p3", "p4", "c3", "c4", "c5", "c6", "c7", "c8", "k13")
+WEIGHTS = ("finite:1,1,1,1", "finite:0,1,2,1/3", "finite:0,0,1", "exp", "cosh", "sinh1")
+SIZES = ((0, 0), (1, 0), (1, 1), (2, 1), (3, 2), (4, 3), (5, 5), (6, 4), (7, 8), (8, 6), (8, 8))
+
+
+def test_coefficient_sums_match_series_products():
+    multi = [G.shape(p) for p in MULTI_NAMES]
+    families = [[f] for f in multi] + [
+        [G.loop(), G.edge_multi(), G.cycle_multi(3)],  # mixed
+        [G.cycle_multi(8)],  # larger than most hosts here
+        [],
+    ]
+    simple = [[G.shape(p, "simple")] for p in ("edge", "p3", "c3", "c4", "k4", "k13")]
+    simple += [[G.cycle_simple(3), G.path_simple(3)], [G.cycle_simple(8)], []]
+    weights = [WeightSpec.from_json(w) for w in WEIGHTS]
+    for n, m in SIZES:
+        for fam in families:
+            assert C.mg_distinguished(n, m, fam) == series_mg_distinguished(n, m, fam), (n, m, fam)
+        for fam in simple:
+            assert C.sg_distinguished(n, m, fam) == series_sg_distinguished(n, m, fam), (n, m, fam)
+        for delta in weights:
+            assert C.mg_weighted_total(n, m, delta) == series_mg_weighted_total(n, m, delta), (n, m, delta)
+            for fam in families:
+                want = series_mg_distinguished_weighted(n, m, delta, fam)
+                assert C.mg_distinguished_weighted(n, m, delta, fam) == want, (n, m, delta, fam)
+    # every t-slice up to past the u-cap of the patchwork series
+    cases = [("multigraph", p, n, m) for p in ("loop", "edge", "double-edge", "c3")
+             for n, m in ((1, 1), (2, 2), (3, 2), (3, 3), (4, 2))]
+    cases += [("simple", p, n, m) for p in ("edge", "p3", "c3") for n, m in ((3, 2), (3, 3), (4, 3), (5, 4))]
+    for kind, p, n, m in cases:
+        f = G.shape(p, kind)
+        u_cap = O.patchwork_series(f, n_max=n, m_max=m, kind=kind).series.caps[0]
+        for t in range(u_cap + 3):
+            got = C.count_with_exactly_t(n, m, f, t, kind=kind)
+            assert got == series_count_with_exactly_t(n, m, f, t, kind=kind), (kind, p, n, m, t)
+            assert isinstance(got, Fraction)
+
+
+def test_census_multiplies_no_series(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("census multiplied a truncated series")
+
+    for name in ("__mul__", "__rmul__", "pow", "exp"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    cubic = WeightSpec.finite([1, 1, 1, 1])
+    assert C.expected_count(12, 9, G.cycle_multi(3), delta=cubic) > 0
+    assert C.expected_count(12, 9, G.cycle_multi(3)) > 0
+    assert C.expected_count(12, 9, G.cycle_simple(3), kind="simple") > 0
+    assert C.count_with_exactly_t(3, 3, G.cycle_multi(3), 1) == 48
+
+
+def test_bad_arguments_fail_loudly():
+    loop, cubic = G.loop(), WeightSpec.finite([1, 1, 1, 1])
+    with pytest.raises(ValueError, match="t=-1"):
+        C.count_with_exactly_t(3, 2, loop, -1)
+    calls = [
+        lambda n, m: C.mg_total(n, m),
+        lambda n, m: C.sg_total(n, m),
+        lambda n, m: C.mg_distinguished(n, m, loop),
+        lambda n, m: C.sg_distinguished(n, m, G.edge_simple()),
+        lambda n, m: C.mg_weighted_total(n, m, cubic),
+        lambda n, m: C.mg_distinguished_weighted(n, m, cubic, loop),
+        lambda n, m: C.expected_count(n, m, loop),
+        lambda n, m: C.expected_count(n, m, loop, delta=cubic),
+        lambda n, m: C.expected_count(n, m, G.edge_simple(), kind="simple"),
+        lambda n, m: C.count_with_exactly_t(n, m, loop, 0),
+        lambda n, m: C.f_free_count(n, m, loop),
+    ]
+    for call in calls:
+        for n, m in ((-1, 2), (3, -2)):
+            with pytest.raises(ValueError, match=f"n={n}, m={m}"):
+                call(n, m)
+    with pytest.raises(ValueError, match="not rational"):
+        C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.power_law(2.5))
+    with pytest.raises(ZeroDivisionError):
+        C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.from_json("finite:0,0,1"))
+
+
+def _load_bench(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads.py imports its sibling checks.py
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_large_weighted_census_matches_degree_sequence_dp(monkeypatch):
+    checks = _load_bench("checks", monkeypatch)
+    cubic = WeightSpec.finite([1, 1, 1, 1])
+    want = checks.weighted_c3_expectation([1, 1, 1, 1], 200, 150)
+    assert C.expected_count(200, 150, G.cycle_multi(3), delta=cubic) == want
+
+
+# sha256 of the str() of every non-slice exact-census answer, in query order
+EXACT_CENSUS_DIGEST = "b220c62a6e8fdc87e14cacf484b101c1a3acefb9225d002c28f84f53365dcb51"
+
+
+def test_exact_census_answers_are_bit_identical(monkeypatch):
+    workloads = _load_bench("workloads", monkeypatch)
+    cubic = WeightSpec.finite(workloads.CUBIC)
+    answers = []
+    for kind, p, n, m in workloads.QUERIES:
+        if kind == "mg":
+            answers.append(C.expected_count(n, m, G.shape(p)))
+        elif kind == "sg":
+            answers.append(C.expected_count(n, m, G.shape(p, "simple"), kind="simple"))
+        elif kind == "cubic":
+            answers.append(C.expected_count(n, m, G.shape(p), delta=cubic))
+    assert len(answers) == 138
+    digest = hashlib.sha256("\n".join(map(str, answers)).encode()).hexdigest()
+    assert digest == EXACT_CENSUS_DIGEST
