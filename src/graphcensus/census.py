@@ -52,6 +52,14 @@ def sg_total(n: int, m: int) -> int:
     return math.comb(math.comb(n, 2), m)
 
 
+def _family(family: Graph | Iterable[Graph], kind: str) -> list[Graph]:
+    """The family as a list, every member of the host's kind."""
+    shapes = as_family(family)
+    if any(f.kind != kind for f in shapes):
+        raise ValueError(f"a {kind} host count needs {kind} patterns")
+    return shapes
+
+
 def _hosts(n: int, m: int, a: int, b: int, kind: str) -> int:
     """n! 2^m m! [z^n w^m] z^a w^b e^z e^{n^2 w/2} (multigraph), respectively
     n! [z^n w^m] z^a (w/(1+w))^b e^z (1+w)^binom(n,2) (simple)."""
@@ -69,7 +77,8 @@ def mg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fractio
     = sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} n^{2(m - m_F)} / aut F.
     """
     _check_size(n, m)
-    return sum((Fraction(_hosts(n, m, f.n, f.m, "multigraph"), aut_count(f)) for f in as_family(family)), Fraction(0))
+    shapes = _family(family, "multigraph")
+    return sum((Fraction(_hosts(n, m, f.n, f.m, "multigraph"), aut_count(f)) for f in shapes), Fraction(0))
 
 
 def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fraction:
@@ -79,7 +88,8 @@ def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fractio
     = sum_F (n)_{n_F} binom(binom(n,2) - m_F, m - m_F) / aut F.
     """
     _check_size(n, m)
-    return sum((Fraction(_hosts(n, m, f.n, f.m, "simple"), aut_count(f)) for f in as_family(family)), Fraction(0))
+    shapes = _family(family, "simple")
+    return sum((Fraction(_hosts(n, m, f.n, f.m, "simple"), aut_count(f)) for f in shapes), Fraction(0))
 
 
 def _power(r: list[Fraction], k: int, cap: int) -> list[Fraction]:
@@ -129,7 +139,7 @@ def mg_distinguished_weighted(n: int, m: int, delta: WeightSpec, family: Graph |
     sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} (2j)! [x^{2j}] prod_v Delta^(d_v) Delta^{n-n_F} / aut F.
     """
     _check_size(n, m)
-    shapes = as_family(family)
+    shapes = _family(family, "multigraph")
     return sum((_weighted_hosts(n, m, delta, f.n, f.m, f.degrees()) / aut_count(f) for f in shapes), Fraction(0))
 
 
@@ -165,8 +175,7 @@ def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigra
     _check_size(n, m)
     if t < 0:
         raise ValueError(f"copy count t must be nonnegative, got t={t}")
-    if kind != f.kind:
-        raise ValueError("pattern kind must match host kind")
+    _family(f, kind)
     coeffs = patchwork_series(f, n_max=n, m_max=m, kind=kind).series.coeffs  # keyed (u, w, z)
     terms = (c * math.comb(k, t) * (-1) ** (k - t) * _hosts(n, m, a, b, kind)
              for (k, b, a), c in coeffs.items() if k >= t)

@@ -41,7 +41,6 @@ from .graphs import (
 from .models import (
     DegreeDistribution,
     WeightSpec,
-    _tuning_for_sampler,
     derive_rng,
     sample_configuration,
     sample_delta_multigraph,
@@ -82,19 +81,13 @@ class _Host:
         self.kind = g.kind
         self.n = g.n
         N = self.N = g.n + 1
-        if isinstance(g, Multigraph):
-            ends = np.array(g.edge_seq, dtype=np.int64)
-            u, v = ends[0::2], ends[1::2]
-            keep = u != v
-            self.loops = int(u.size - keep.sum())
-            u, v = u[keep], v[keep]
-            self.codes, pk = np.unique(np.minimum(u, v) * N + np.maximum(u, v), return_counts=True)
-        else:
-            ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
-            u, v = ends[0::2], ends[1::2]
-            self.loops = 0
-            self.codes = np.sort(u * N + v)
-            pk = np.ones(self.codes.size, dtype=np.int64)
+        seq = g.edge_seq if isinstance(g, Multigraph) else chain.from_iterable(g.edges)
+        ends = np.fromiter(seq, dtype=np.int64, count=2 * g.m)
+        u, v = ends[0::2], ends[1::2]
+        keep = u != v
+        self.loops = int(u.size - keep.sum())
+        u, v = u[keep], v[keep]
+        self.codes, pk = np.unique(np.minimum(u, v) * N + np.maximum(u, v), return_counts=True)
         self.pk = pk.astype(np.int64)
         self.pu, self.pv = np.divmod(self.codes, N)
         self.s1 = np.bincount(np.concatenate((u, v)), minlength=N)
@@ -545,10 +538,12 @@ def _replicate_counts(config: ExperimentConfig, m: int | None, pi: DegreeDistrib
         host = sample_uniform_multigraph(config.n, m, rng)
     elif config.model == "uniform-simple":
         host = sample_uniform_simple(config.n, m, rng)
-    elif config.model == "delta":
+    elif config.model == "delta" or (config.model == "configuration" and m is not None):
+        # conditioned on m the configuration model is the delta model's law,
+        # drawn from the same tuned table by the same sampler
         host = sample_delta_multigraph(config.n, m, config.delta, rng)
     elif config.model == "configuration":
-        host = sample_configuration(config.n, pi, rng, m=m)
+        host = sample_configuration(config.n, pi, rng)
     else:
         raise ValueError(f"unknown model {config.model!r}")
     return count_patterns(host, patterns)
@@ -559,10 +554,8 @@ def _worker_chunk(payload) -> list[tuple]:
     config = ExperimentConfig.from_json(config_json)
     m = config.resolved_m()
     pi = None
-    if config.model == "configuration":
-        # the delta sampler's tuning, so both models draw alike; x = 1 when m is free
-        x = 1.0 if m is None else _tuning_for_sampler(config.delta, config.n, m)
-        pi = DegreeDistribution.from_weight_spec(config.delta, x)
+    if config.model == "configuration" and m is None:
+        pi = DegreeDistribution.from_weight_spec(config.delta, 1.0)
     return [_replicate_counts(config, m, pi, patterns, r) for r in range(start, stop)]
 
 
@@ -604,9 +597,13 @@ def run_many(config: ExperimentConfig, patterns: list[str]) -> dict[str, Experim
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Run the experiment for the configured pattern (single-pattern form)."""
-    pattern = config.pattern if isinstance(config.pattern, str) else config.pattern[0]
-    return run_many(config, [pattern])[pattern]
+    """Run the experiment for its one configured pattern; ``run_many``
+    counts several on the same hosts."""
+    patterns = [config.pattern] if isinstance(config.pattern, str) else list(config.pattern)
+    if len(patterns) != 1:
+        raise ValueError(f"run counts one pattern, the config lists {patterns}: "
+                         f"{patterns[1:]} would be dropped; use run_many")
+    return run_many(config, patterns)[patterns[0]]
 
 
 def _build_report(config, pattern, counts, runtime) -> ExperimentReport:

@@ -369,27 +369,28 @@ def sample_uniform_multigraph(n: int, m: int, rng: np.random.Generator) -> Multi
 
 
 def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> SimpleGraph:
-    """Uniform m-subset of vertex pairs via sequential distinct draws."""
+    """Uniform simple (n,m)-graph: each m-subset of the C(n,2) vertex pairs
+    has probability 1 / C(C(n,2), m).
+
+    Pair 0 <= u < v < n has rank c = v(v-1)/2 + u.  ``rng.choice`` draws m
+    distinct ranks; for sparse m numpy runs Floyd's algorithm (Bentley and
+    Floyd, "A sample of brilliance", CACM 30(9), 1987) in O(m) memory.  A
+    rank unranks to v = floor((1 + sqrt(8c + 1)) / 2), u = c - v(v-1)/2.
+    The float root is exact at a row's first rank, 8c + 1 = (2v-1)^2, and
+    rounding is monotone, so v can only come out one row too high, as it
+    does at many rows' last rank past row 2^27.  Ranks are int64, so
+    n(n+1) must stay below 2^63.
+    """
     total_pairs = n * (n - 1) // 2
     if m > total_pairs:
         raise ValueError("too many edges for a simple graph")
-    chosen: dict[int, None] = {}
-    need = m
-    while need > 0:
-        batch = max(2 * need, 16)
-        us = rng.integers(1, n + 1, size=batch)
-        vs = rng.integers(1, n + 1, size=batch)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            code = (u - 1) * n + (v - 1) if u < v else (v - 1) * n + (u - 1)
-            if code not in chosen:
-                chosen[code] = None
-                need -= 1
-                if need == 0:
-                    break
-    edges = [(code // n + 1, code % n + 1) for code in chosen]
-    return SimpleGraph(n, edges)
+    if n * (n + 1) >= 2**63:
+        raise ValueError(f"n = {n} is too large for int64 pair ranks")
+    codes = rng.choice(total_pairs, size=m, replace=False, shuffle=False)
+    v = ((1 + np.sqrt(8.0 * codes + 1)) // 2).astype(np.int64)
+    v -= v * (v - 1) // 2 > codes
+    u = codes - v * (v - 1) // 2
+    return SimpleGraph(n, zip((u + 1).tolist(), (v + 1).tolist()))
 
 
 def boltzmann_degree(delta: WeightSpec, x: float, rng: np.random.Generator) -> int:

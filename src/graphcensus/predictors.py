@@ -312,10 +312,6 @@ class PeriodicDecomposition:
             return Fraction(0)
         return Fraction(self.delta.delta(e), math.factorial(e - d))
 
-    def omega_ratio(self, d: int, chi: float) -> float:
-        """Omega_d(chi^p) / Omega(chi^p) evaluated through Delta."""
-        return chi**d * self.delta.value(chi, d) / self.delta.value(chi, 0)
-
 
 def periodic_decompose(delta: WeightSpec) -> PeriodicDecomposition:
     """Support residue r and period p of the weight sequence.
@@ -348,7 +344,7 @@ def periodic_expectation(
     Exactly 0 (with a diagnostic) when p does not divide 2m - n r; otherwise
     the tuned formula with the transfer ratios Omega_d(chi^p)/Omega(chi^p),
     which coincide with chi^d Delta^(d)(chi)/Delta(chi) at the Delta-tuned
-    chi.
+    chi: ``weighted_expectation_predictor`` with the plain power n^n(F).
     """
     dec = periodic_decompose(delta)
     if (2 * m - n * dec.r) % dec.p != 0:
@@ -366,16 +362,11 @@ def periodic_expectation(
         pred = regular_expectation(f, n, dec.r)
         pred.extras.update({"r": dec.r, "p": dec.p})
         return pred
-    chi = solve_tuning(delta, Fraction(2 * m, n))
-    z = delta.value(chi, 0)
-    prod = 1.0
-    for d in f.degrees():
-        prod *= dec.omega_ratio(d, chi)
-    value = float(n) ** f.n / float(2 * m) ** f.m * prod / aut_count(f)
+    pred = weighted_expectation_predictor(f, n, m, delta, falling_vertex_factor=False)
     return Prediction(
-        value,
+        pred.value,
         formula_id="periodic-expectation",
-        extras={"r": dec.r, "p": dec.p, "chi": chi},
+        extras={"r": dec.r, "p": dec.p, "chi": pred.extras["chi"]},
     )
 
 

@@ -17,7 +17,8 @@ def test_tracer_installs_and_restores(monkeypatch):
     prog = run.import_program()
     originals = {
         name: prog.models.__dict__[name]
-        for name in ("feasible_degree_sum", "solve_tuning", "sample_delta_multigraph", "derive_rng")
+        for name in ("feasible_degree_sum", "solve_tuning", "sample_delta_multigraph", "sample_uniform_simple",
+                     "derive_rng")
     }
     patchwork = prog.census.__dict__["patchwork_series"]
     tracer = run.Tracer()
@@ -26,6 +27,10 @@ def test_tracer_installs_and_restores(monkeypatch):
         spec = prog.models.WeightSpec.finite([1, 1, 1])
         assert prog.models.feasible_degree_sum(spec, 3, 4)
         assert [s[0] for s in tracer.spans] == ["models.feasible_degree_sum"]
+        # mc-fallback's sample time is the span of this module global
+        host = prog.models.sample_uniform_simple(5, 3, prog.models.derive_rng(1, 0))
+        assert host.m == 3
+        assert [s[0] for s in tracer.spans[1:]] == ["models.sample"]
     finally:
         tracer.restore()
     assert {name: prog.models.__dict__[name] for name in originals} == originals

@@ -38,6 +38,22 @@ def test_family_validation():
         C.mg_distinguished(3, 2, [G.edge_multi(), G.Multigraph(2, (2, 1))])
 
 
+def test_family_of_the_wrong_kind_is_refused():
+    cubic = WeightSpec.finite([1, 1, 1, 1])
+    calls = [
+        (lambda: C.expected_count(3, 2, G.loop(), kind="simple"), "simple"),
+        (lambda: C.sg_distinguished(3, 2, G.loop()), "simple"),
+        (lambda: C.sg_distinguished(3, 2, [G.edge_simple(), G.loop()]), "simple"),
+        (lambda: C.mg_distinguished(3, 3, G.cycle_simple(3)), "multigraph"),
+        (lambda: C.expected_count(3, 3, G.cycle_simple(3)), "multigraph"),
+        (lambda: C.mg_distinguished_weighted(3, 2, cubic, G.path_simple(3)), "multigraph"),
+        (lambda: C.count_with_exactly_t(3, 2, G.loop(), 0, kind="simple"), "simple"),
+    ]
+    for call, kind in calls:
+        with pytest.raises(ValueError, match=f"a {kind} host count needs {kind} patterns"):
+            call()
+
+
 def test_weighted_total_examples():
     assert C.mg_weighted_total(2, 1, WeightSpec.finite([1, 1])) == 2
     for n, m in ((2, 1), (2, 2), (3, 2)):

@@ -207,6 +207,17 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json({**data, "replicats": 99})
 
 
+def test_run_refuses_to_drop_patterns():
+    cfg = ExperimentConfig(model="uniform-multi", n=10, m=5, pattern=["loop", "c3"], replicates=3, seed=1, workers=1)
+    with pytest.raises(ValueError, match=r"\['c3'\] would be dropped; use run_many"):
+        E.run(cfg)
+    with pytest.raises(ValueError, match="run_many"):
+        E.sweep(dataclasses.replace(cfg, m=None, m_rule={"c": 0.5, "alpha": 1.0}), [10, 20])
+    one = E.run(dataclasses.replace(cfg, pattern=["c3"]))
+    assert one.pattern == "c3"
+    assert one.empirical_pmf == E.run_many(cfg, ["loop", "c3"])["c3"].empirical_pmf
+
+
 def test_m_rule_rounding():
     cfg = ExperimentConfig(
         model="uniform-multi", n=100, m_rule={"c": 0.5, "alpha": 1.0},

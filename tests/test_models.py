@@ -22,7 +22,7 @@ from graphcensus.models import (
     sample_uniform_simple,
     solve_tuning,
 )
-from graphcensus.specialfuncs import zeta
+from graphcensus.specialfuncs import chi_square_survival, zeta
 
 CUBIC = WeightSpec.finite([1, 1, 1, 1])
 
@@ -199,6 +199,49 @@ def test_uniform_simple_uniformity():
     assert full.m == 10
     with pytest.raises(ValueError):
         sample_uniform_simple(3, 5, derive_rng(47, 2))
+
+
+@pytest.mark.parametrize("n, m, reps", [(4, 2, 6_000), (5, 3, 12_000)])
+def test_uniform_simple_subset_law(n, m, reps):
+    # every m-subset of the C(n,2) pairs, 400 and 100 expected draws each;
+    # the p-value floor is fixed before any stream is drawn
+    subsets = list(itertools.combinations(itertools.combinations(range(1, n + 1), 2), m))
+    counts = Counter(sample_uniform_simple(n, m, derive_rng(53, r)).edges for r in range(reps))
+    assert set(counts) == set(map(frozenset, subsets))
+    expected = reps / len(subsets)
+    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi_square_survival(stat, len(subsets) - 1) > 1e-4, stat
+
+
+class _FixedCodes:
+    """An rng stand-in whose m-subset of pair ranks is given."""
+
+    def __init__(self, codes):
+        self.codes = np.array(codes, dtype=np.int64)
+
+    def choice(self, total, size, replace, shuffle):
+        assert size == self.codes.size and not replace and self.codes.max(initial=-1) < total
+        return self.codes
+
+
+def test_uniform_simple_small_sizes_and_row_boundaries():
+    for n, m in ((0, 0), (1, 0), (2, 0)):
+        g = sample_uniform_simple(n, m, derive_rng(59, n))
+        assert (g.n, g.m) == (n, 0)
+    assert sample_uniform_simple(2, 1, derive_rng(59, 3)).edges == {(1, 2)}
+    for n, m in ((0, 1), (1, 1), (2, 2)):
+        with pytest.raises(ValueError, match="too many edges"):
+            sample_uniform_simple(n, m, derive_rng(59, 4))
+    with pytest.raises(ValueError, match="int64"):
+        sample_uniform_simple(2**32, 1, derive_rng(59, 5))
+    # pair (u, v), 0 <= u < v < n, has rank v(v-1)/2 + u; check the first and
+    # last rank of rows near where 8c + 1 passes 2^53 and past row 2^27,
+    # where the float root of the last rank lands in the next row
+    for n in (3, 10, 1000, 10**5, 10**8, 2**31):
+        rows = {v for v in (1, 2, n // 2, 47_453_133, 2**27 + 1, n - 2, n - 1) if 1 <= v < n}
+        pairs = [(u, v) for v in sorted(rows) for u in {0, v - 1}]
+        g = sample_uniform_simple(n, len(pairs), _FixedCodes([v * (v - 1) // 2 + u for u, v in pairs]))
+        assert g.edges == {(u + 1, v + 1) for u, v in pairs}, n
 
 
 def _host_law(n, m, spec):

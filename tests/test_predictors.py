@@ -7,7 +7,7 @@ import pytest
 from graphcensus import census as C
 from graphcensus import graphs as G
 from graphcensus import predictors as P
-from graphcensus.models import WeightSpec
+from graphcensus.models import WeightSpec, solve_tuning
 from graphcensus.specialfuncs import chi_square_survival, gamma, polylog, zeta
 
 CUBIC = WeightSpec.finite([1, 1, 1, 1])
@@ -167,6 +167,24 @@ def test_periodic_expectation():
     # one-point support routes through the regular formula
     reg = P.periodic_expectation(G.cycle_multi(3), 100, 150, WeightSpec.finite([0, 0, 0, 1]))
     assert reg.value == Fraction(4, 3)
+
+
+@pytest.mark.parametrize("weights", ["cosh", "exp", "sinh1", "finite:1,0,1,0,1", "finite:0,1,1,1"])
+def test_periodic_expectation_is_the_plain_power_weighted_formula(weights):
+    # reference: the transfer-ratio product written out, with chi tuned to 2m/n
+    delta = WeightSpec.from_json(weights)
+    dec = P.periodic_decompose(delta)
+    for name in ("c3", "p3", "k13", "loop"):
+        f = G.shape(name)
+        for n, m in ((40, 30), (100, 80), (7, 9)):
+            pred = P.periodic_expectation(f, n, m, delta)
+            chi = solve_tuning(delta, Fraction(2 * m, n))
+            prod = 1.0
+            for d in f.degrees():
+                prod *= chi**d * delta.value(chi, d) / delta.value(chi, 0)
+            assert pred.value == float(n) ** f.n / float(2 * m) ** f.m * prod / G.aut_count(f), (name, n, m)
+            assert pred.formula_id == "periodic-expectation"
+            assert pred.extras == {"r": dec.r, "p": dec.p, "chi": chi}
 
 
 def test_exact_to_asymptotic_convergence_trend():
