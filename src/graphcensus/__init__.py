@@ -5,7 +5,7 @@ Layers:
   graphs       (multi)graph model, isomorphism, copy counting, balance
   series       truncated multivariate power series over exact rationals
   oracle       exhaustive ground truth at tiny sizes, patchwork series
-  census       exact counting formulas on the series engine
+  census       exact counting formulas, each one finite coefficient sum
   models       degree weights, tuning, Boltzmann/configuration samplers
   predictors   closed-form asymptotics (thresholds, Poisson laws, power law)
   experiments  Monte Carlo harness, reports, scaling fits

@@ -6,12 +6,10 @@ Replicates are independent; replicate r derives its RNG stream from
 seed) regardless of the worker count (the wall-clock runtime field is the
 one exception and is excluded from comparisons).
 
-Copies in sampled hosts are counted by one engine over numpy arrays of the
-host: each builtin shape with simple pattern edges is a Moebius-weighted sum
-of homomorphism counts of its quotients, evaluated by vertex elimination.
-``loop`` and ``double-edge`` are direct sums over the host's pairs; only
-``k4`` and pattern graphs given as values use the backtracking
-``graphs.subgraph_count``.
+Copies of a builtin shape in sampled hosts are counted by one engine over
+numpy arrays of the host: the shape is a signed sum of homomorphism counts
+of its quotients, each weighted by pure powers of the host's pair and loop
+multiplicities and evaluated by vertex elimination and clique closing.
 """
 
 from __future__ import annotations
@@ -25,12 +23,16 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 
 import numpy as np
 
 from . import predictors
-from .graphs import (
+
+# experiments counts nothing with subgraph_count; the name stays a module
+# global because the benchmark's tracer (bench/run.py) wraps
+# experiments.subgraph_count, and tests/test_bench_contract.py installs it
+from .graphs import (  # noqa: F401
     Graph,
     Multigraph,
     is_isomorphic,
@@ -47,25 +49,26 @@ from .models import (
     sample_uniform_multigraph,
     sample_uniform_simple,
 )
-from .specialfuncs import chi_square_survival, poisson_pmf
+from .specialfuncs import chi_square_survival, poisson_pmf, stirling1_signed
 
 
 # ---------------------------------------------------------------------------
 # copy counting
 #
-# One engine counts every builtin shape F with simple pattern edges.  With M
-# the host's pair-multiplicity matrix (zero diagonal, loops dropped), the
-# copy count is the sum over injective maps V(F) -> V(G) of the product of M
-# over F's edges, divided by F's vertex automorphisms; a pattern edge picks
-# one of the M[a, b] parallel host edges.  Moebius inversion over the set
-# partitions of V(F) turns the injective sum into a weighted sum of
-# homomorphism counts of F's quotients, its spasm (Curticapean, Dell and
-# Marx, "Homomorphisms are a good basis for counting small subgraphs",
-# STOC 2017).  A quotient edge onto which k pattern edges fall weighs M^k.
-# Homomorphism counts are summed by eliminating quotient vertices over numpy
-# arrays of the host; a remaining triangle is closed over degree-ordered
-# wedges (Latapy, TCS 2008).  All sums are exact: int64 while a bound on
-# every partial sum stays below 2^63, Python ints (dtype=object) past it.
+# One engine counts every builtin shape F.  With M the host's pair
+# multiplicities (zero diagonal) and L its loops per vertex, a copy of F is
+# an injective map V(F) -> V(G) and a choice of k of the M (or L) host edges
+# for each class of k parallel pattern edges (or k loops): the copy count is
+# the sum over injective maps of the product of C(M, k) over F's classes,
+# divided by F's vertex automorphisms.  Expanding C(M, k) into powers of M
+# and Moebius inversion over the set partitions of V(F) make this a weighted
+# sum of homomorphism counts of F's quotients, its spasm (Curticapean, Dell
+# and Marx, "Homomorphisms are a good basis for counting small subgraphs",
+# STOC 2017), each summed by eliminating quotient vertices over numpy arrays
+# of the host; a complete quotient that remains is closed over the host's
+# cliques (Chiba and Nishizeki, SIAM J. Comput. 1985).  All sums are exact:
+# int64 while a bound on every partial sum stays below 2^63, Python ints
+# (dtype=object) past it.
 
 
 class _Host:
@@ -74,7 +77,8 @@ class _Host:
     The unique non-loop pairs pu < pv, with multiplicity pk, are coded
     ``pu * N + pv`` (N = n + 1) in sorted ``codes``; ``sym`` holds every pair
     in both orientations, sorted, with ``mult`` alongside; ``s1`` is each
-    vertex's number of non-loop edge ends.
+    vertex's number of non-loop edge ends, ``lv`` its number of loops and
+    ``max_degree`` the largest s1 + 2 lv.
     """
 
     def __init__(self, g: Graph):
@@ -85,12 +89,13 @@ class _Host:
         ends = np.fromiter(seq, dtype=np.int64, count=2 * g.m)
         u, v = ends[0::2], ends[1::2]
         keep = u != v
-        self.loops = int(u.size - keep.sum())
+        self.lv = np.bincount(u[~keep], minlength=N)
         u, v = u[keep], v[keep]
         self.codes, pk = np.unique(np.minimum(u, v) * N + np.maximum(u, v), return_counts=True)
         self.pk = pk.astype(np.int64)
         self.pu, self.pv = np.divmod(self.codes, N)
         self.s1 = np.bincount(np.concatenate((u, v)), minlength=N)
+        self.max_degree = int((self.s1 + 2 * self.lv).max(initial=0))
         sym = np.concatenate((self.codes, self.pv * N + self.pu))
         order = np.argsort(sym)
         self.sym = sym[order]
@@ -113,31 +118,47 @@ class _Host:
             self._memo[key] = out
         return self._memo[key]
 
-    def triangles(self) -> tuple:
-        """Every triangle once, as vertex arrays x, y, z and multiplicities
-        of xy, xz, yz.
+    def cliques(self, q: int) -> tuple:
+        """Every q-clique (q >= 2) once: q vertex arrays, the multiplicities
+        of the pair at positions (i, j), i < j, and the out-pair that ends
+        the clique.
 
-        Pairs point from lower (s1, id) to higher; a triangle is found once,
-        at its lowest vertex, from the wedge of its two out-pairs there.
+        Pairs point from lower (s1, id) to higher and are grouped by their
+        lower end.  A clique is found once, at its lowest vertex x, as
+        out-pairs of x at increasing positions: each (q-1)-clique found at x
+        is extended by every later out-pair of x whose far end is joined to
+        all the clique's other vertices.
         """
-        if "tri" not in self._memo:
+        key = ("clique", q)
+        if key not in self._memo:
             N = self.N
-            rank = np.empty(N, dtype=np.int64)
-            rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
-            up = rank[self.pu] < rank[self.pv]
-            x = np.where(up, self.pu, self.pv)
-            y = np.where(up, self.pv, self.pu)
-            order = np.argsort(x, kind="stable")
-            x, y, k = x[order], y[order], self.pk[order]
-            later = np.searchsorted(x, x, side="right") - np.arange(x.size) - 1
-            i = np.repeat(np.arange(x.size), later)
-            j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
-            b, c = y[i], y[j]
-            want = np.minimum(b, c) * N + np.maximum(b, c)
-            pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
-            hit = self.codes[pos] == want
-            self._memo["tri"] = (x[i][hit], b[hit], c[hit], k[i][hit], k[j][hit], self.pk[pos][hit])
-        return self._memo["tri"]
+            if q == 2:
+                rank = np.empty(N, dtype=np.int64)
+                rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
+                up = rank[self.pu] < rank[self.pv]
+                x = np.where(up, self.pu, self.pv)
+                order = np.argsort(x, kind="stable")
+                y = np.where(up, self.pv, self.pu)[order]
+                self._memo[key] = ([x[order], y], {(0, 1): self.pk[order]}, np.arange(x.size))
+            else:
+                (ox, oy), out, _ = self.cliques(2)
+                verts, mult, last = self.cliques(q - 1)
+                later = np.searchsorted(ox, ox[last], side="right") - last - 1
+                i = np.repeat(np.arange(last.size), later)
+                nxt = last[i] + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+                found: list = []
+                for t in range(1, q - 1):
+                    b, d = verts[t][i], oy[nxt]
+                    want = np.minimum(b, d) * N + np.maximum(b, d)
+                    pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
+                    hit = self.codes[pos] == want
+                    i, nxt = i[hit], nxt[hit]
+                    found = [p[hit] for p in found] + [pos[hit]]
+                mult = {pair: m[i] for pair, m in mult.items()}
+                mult[0, q - 1] = out[0, 1][nxt]
+                mult.update({(t, q - 1): self.pk[p] for t, p in enumerate(found, start=1)})
+                self._memo[key] = ([v[i] for v in verts] + [oy[nxt]], mult, nxt)
+        return self._memo[key]
 
 
 def _set_partitions(n: int):
@@ -152,32 +173,43 @@ def _set_partitions(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _spasm(name: str, kind: str) -> tuple:
-    """(vertex automorphisms, edge count, [(coefficient, q, quotient edges)]).
+    """(divisor, edge count, [(coefficient, q, quotient edges)]) of a builtin
+    shape: its copy count is sum(coefficient * hom) // divisor.
 
-    Quotient vertices are 0..q-1 and its edges (x, y, k) with x < y carry
-    the number k of pattern edges that land on them.  Quotients with a loop
-    are dropped (M has a zero diagonal); isomorphic quotients are merged,
-    summing their Moebius weights prod over blocks of (-1)^(s-1) (s-1)!.
+    Quotient vertices are 0..q-1 and its edges (x, y, j) with x <= y carry
+    the power M^j (L^j where x == y) that the pattern's classes, expanded by
+    C(M, k) = sum_j s(k, j) M^j / k!, put there.  A partition that folds a
+    non-loop pattern edge into one block is dropped (M has a zero diagonal);
+    isomorphic quotients are merged, summing their weights, each the
+    product of the Stirling numbers and of the Moebius weights
+    (-1)^(s-1) (s-1)! over blocks of size s.  The divisor is the pattern's
+    vertex automorphisms times k! for each class.
     """
     f = shape(name, kind)
-    pairs = list(f.pair_multiplicities())
-    classes: list[list] = []  # [coefficient, quotient Multigraph, q, edges]
+    classes = f.pair_multiplicities()  # (a, b) -> k; loops as (a, a)
+    expansions = [[(j, s) for j, s in enumerate(stirling1_signed(k)) if s] for k in classes.values()]
+    terms = list(product(*expansions))  # one term per exponent j of each class
+    basis: list[list] = []  # [coefficient, quotient Multigraph, q, edges]
     for blocks in _set_partitions(f.n):
-        if any(blocks[a - 1] == blocks[b - 1] for a, b in pairs):
+        if any(a != b and blocks[a - 1] == blocks[b - 1] for a, b in classes):
             continue
         sizes = Counter(blocks).values()
-        coef = math.prod((-1) ** (s - 1) * math.factorial(s - 1) for s in sizes)
-        merged = Counter(tuple(sorted((blocks[a - 1], blocks[b - 1]))) for a, b in pairs)
-        edges = tuple((x, y, k) for (x, y), k in sorted(merged.items()))
-        quotient = Multigraph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
-        for c in classes:
-            if is_isomorphic(c[1], quotient):
-                c[0] += coef
-                break
-        else:
-            classes.append([coef, quotient, len(sizes), edges])
-    basis = tuple((coef, q, edges) for coef, _, q, edges in classes if coef)
-    return vertex_automorphisms(f), f.m, basis
+        moebius = math.prod((-1) ** (s - 1) * math.factorial(s - 1) for s in sizes)
+        for term in terms:
+            merged: Counter = Counter()
+            for (a, b), (j, _) in zip(classes, term):
+                merged[tuple(sorted((blocks[a - 1], blocks[b - 1])))] += j
+            coef = moebius * math.prod(s for _, s in term)
+            edges = tuple((x, y, k) for (x, y), k in sorted(merged.items()))
+            quotient = Multigraph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
+            for c in basis:
+                if is_isomorphic(c[1], quotient):
+                    c[0] += coef
+                    break
+            else:
+                basis.append([coef, quotient, len(sizes), edges])
+    divisor = vertex_automorphisms(f) * math.prod(math.factorial(k) for k in classes.values())
+    return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis if coef)
 
 
 def _oriented(factor, N: int, first: bool):
@@ -190,19 +222,26 @@ def _oriented(factor, N: int, first: bool):
 
 
 def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
-    """Homomorphism count of a connected quotient, weighted by M^k per edge.
+    """Homomorphism count of a connected quotient, weighted by M^k per edge
+    and L^k per loop entry.
 
     Each quotient vertex x carries a vector w[x] over host vertices (None
     for all ones) and each quotient edge x < y a factor (codes, values, k):
     sparse values over host pairs coded a * N + b, with k set while the
     factor is still M^k itself.  A leaf folds into its neighbour's vector;
-    a degree-2 vertex becomes a factor over the walks through it, multiplied
-    into any factor already on that pair; a triangle of M^k factors closes
-    over the host's triangles.
+    a complete quotient of M^k factors closes over the host's cliques; a
+    degree-2 vertex becomes a factor over the walks through it, multiplied
+    into any factor already on that pair.  Any other core of minimum degree
+    3 raises NotImplementedError.
     """
     N = host.N
     w: list = [None] * q
-    fac = {(x, y): (*host.edge(k, dtype), k) for x, y, k in edges}
+    fac = {}
+    for x, y, k in edges:
+        if x == y:
+            w[x] = host.lv.astype(dtype) ** k
+        else:
+            fac[x, y] = (*host.edge(k, dtype), k)
     alive = set(range(q))
     while len(alive) > 1:
         nbrs: dict[int, list[int]] = {x: [] for x in alive}
@@ -222,10 +261,10 @@ def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
             w[y] = folded if w[y] is None else w[y] * folded
             alive.remove(x)
             continue
-        if len(alive) == 3 and all(f[2] is not None for f in fac.values()):
-            return _close_triangle(host, sorted(alive), fac, w, dtype)
+        if len(fac) == math.comb(len(alive), 2) and all(f[2] is not None for f in fac.values()):
+            return _close_clique(host, sorted(alive), fac, w, dtype)
         if len(nbrs[x]) > 2:
-            return _backtrack(alive, nbrs, fac, w, N)
+            raise NotImplementedError(f"no rule counts homomorphisms of the core {sorted(fac)}")
         x = min(
             (v for v in alive if len(nbrs[v]) == 2),
             key=lambda v: math.prod(fac[min(v, y), max(v, y)][0].size for y in nbrs[v]),
@@ -266,14 +305,13 @@ def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
     return int(w[x].sum())
 
 
-def _close_triangle(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
-    """Sum over the 6 ways to lay the quotient triangle on each host triangle."""
-    tx, ty, tz, mxy, mxz, myz = host.triangles()
-    at = (tx, ty, tz)
-    mult = {(0, 1): mxy.astype(dtype), (0, 2): mxz.astype(dtype), (1, 2): myz.astype(dtype)}
+def _close_clique(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
+    """Sum over the q! ways to lay the complete quotient on each host q-clique."""
+    at, mult, _ = host.cliques(len(verts))
+    mult = {pair: m.astype(dtype) for pair, m in mult.items()}
     total = 0
-    for perm in permutations(range(3)):
-        term = np.ones(tx.size, dtype=dtype)
+    for perm in permutations(range(len(verts))):
+        term = np.ones(at[0].size, dtype=dtype)
         for (x, y), (_, _, k) in fac.items():
             i, j = sorted((perm[verts.index(x)], perm[verts.index(y)]))
             term = term * mult[i, j] ** k
@@ -284,75 +322,28 @@ def _close_triangle(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
     return total
 
 
-def _backtrack(alive: set, nbrs: dict, fac: dict, w: list, N: int) -> int:
-    """Plain backtracking over a core of minimum degree 3, the one case the
-    elimination leaves (among builtin shapes, c8's quotients onto K4)."""
-    look: dict = {}  # (x, y) -> host a -> host b -> factor value
-    for (x, y), factor in fac.items():
-        xs, ys, vals = _oriented(factor, N, True)
-        fwd, rev = look[x, y], look[y, x] = {}, {}
-        for a, b, val in zip(xs.tolist(), ys.tolist(), vals.tolist()):
-            fwd.setdefault(a, {})[b] = val
-            rev.setdefault(b, {})[a] = val
-    order = [min(alive)]
-    while len(order) < len(alive):
-        order.append(min(v for v in alive - set(order) if any(u in order for u in nbrs[v])))
-    placed: dict[int, int] = {}
-
-    def extend(i: int, acc: int) -> int:
-        if i == len(order):
-            return acc
-        x = order[i]
-        back = [y for y in nbrs[x] if y in placed]
-        candidates = look[back[0], x].get(placed[back[0]], {}) if back else look[x, nbrs[x][0]]
-        total = 0
-        for a in candidates:
-            t = acc if w[x] is None else acc * int(w[x][a])
-            for y in back:
-                t *= look[y, x].get(placed[y], {}).get(a, 0)
-            if t:
-                placed[x] = a
-                total += extend(i + 1, t)
-                del placed[x]
-        return total
-
-    return extend(0, 1)
-
-
-def _count(host: _Host, g: Graph, pattern) -> int:
-    if not isinstance(pattern, str):
-        return subgraph_count(g, pattern)
-    if host.kind == "multigraph" and pattern == "loop":
-        return host.loops
-    if host.kind == "multigraph" and pattern == "double-edge":
-        return int((host.pk * (host.pk - 1) // 2).sum())
-    if pattern == "k4":
-        return subgraph_count(g, shape(pattern, host.kind))
-    aut, n_edges, basis = _spasm(pattern, host.kind)
+def _count(host: _Host, name: str) -> int:
+    divisor, n_edges, basis = _spasm(name, host.kind)
     # summing outward from the root of a spanning tree of a quotient bounds
-    # every partial sum of its homomorphism count by n * max(s1)^E
-    big = host.n * int(host.s1.max(initial=0)) ** n_edges >= 2**63
-    dtype = object if big else np.int64
+    # every partial sum of its homomorphism count by n * max(degree)^E
+    dtype = object if host.n * host.max_degree**n_edges >= 2**63 else np.int64
     total = sum(coef * _hom(host, q, edges, dtype) for coef, q, edges in basis)
-    copies, rest = divmod(total, aut)
+    copies, rest = divmod(total, divisor)
     assert rest == 0
     return copies
 
 
-def count_pattern(g: Graph, pattern) -> int:
-    """Copies of a builtin shape (by name) or of a pattern graph in g."""
+def count_pattern(g: Graph, pattern: str) -> int:
+    """Copies in g of the builtin shape named ``pattern``."""
     return count_patterns(g, [pattern])[0]
 
 
-def count_patterns(g: Graph, patterns: list) -> tuple[int, ...]:
-    """Count several patterns on one host, sharing its array form.
-
-    ``loop`` and ``double-edge`` are sums over the host's pairs, ``k4`` and
-    pattern graphs go to the backtracking ``subgraph_count``, and every
-    other builtin shape to the homomorphism-basis engine.
-    """
+def count_patterns(g: Graph, patterns: list[str]) -> tuple[int, ...]:
+    """Copies in g of each named builtin shape of g's kind, sharing the
+    host's array form; an unknown name (or a pattern graph) raises
+    ``ValueError``."""
     host = _Host(g)
-    return tuple(_count(host, g, p) for p in patterns)
+    return tuple(_count(host, p) for p in patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +446,6 @@ class ExperimentConfig:
     m: int | None = None
     m_rule: dict | None = None  # {"c": float, "alpha": float}: m = round(c n^alpha)
     delta: WeightSpec | dict | str | None = None
-    statistic: str = "mean"
     predictor: dict | None = None
     mom_buckets: int | None = None
     workers: int | None = None
@@ -465,6 +455,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.m is None and self.m_rule is None and self.model != "configuration":
             raise ValueError("either m or m_rule is required")
+        if self.m is not None and self.m_rule is not None:
+            raise ValueError("give m or m_rule, not both")
         if isinstance(self.delta, (dict, str)):
             self.delta = WeightSpec.from_json(self.delta)
 

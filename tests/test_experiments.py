@@ -51,6 +51,50 @@ def test_simple_counters_match_engine():
         assert E.count_pattern(g, "edge") == g.m
 
 
+def test_every_builtin_shape_is_counted_without_subgraph_count(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("experiments called subgraph_count")
+
+    monkeypatch.setattr(E, "subgraph_count", refuse)
+    rng = derive_rng(19, 0)
+    hosts = []
+    for _ in range(12):
+        # loop classes and parallel classes of 3 or more on a hub multigraph
+        g = _multigraph_with_hub(rng)
+        seq = list(g.edge_seq)
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = (int(v) for v in rng.integers(1, g.n + 1, size=2))
+            seq += [a, b] * int(rng.integers(3, 6))
+        hosts.append(G.Multigraph(g.n, seq))
+    for n in (4, 5, 6, 7, 7, 8, 8):
+        # dense simple hosts, which hold 4-cliques
+        hosts.append(sample_uniform_simple(n, int(rng.integers(math.comb(n, 2) * 2 // 3, math.comb(n, 2) + 1)), rng))
+    hosts.append(G.Multigraph(8, sample_uniform_multigraph(8, 40, rng).edge_seq))
+    assert any(G.subgraph_count(g, G.complete_simple(4)) for g in hosts if g.kind == "simple")
+    classes = [(a == b, k) for g in hosts if g.kind == "multigraph" for (a, b), k in g.pair_multiplicities().items()]
+    assert any(loop and k >= 3 for loop, k in classes) and any(not loop and k >= 3 for loop, k in classes)
+    for g in hosts:
+        names = sorted(G._MULTI_SHAPES if g.kind == "multigraph" else G._SIMPLE_SHAPES)
+        expected = tuple(G.subgraph_count(g, G.shape(p, g.kind)) for p in names)
+        assert E.count_patterns(g, names) == expected, g
+
+
+def test_pattern_graphs_are_refused():
+    g = sample_uniform_multigraph(6, 9, derive_rng(23, 0))
+    with pytest.raises(ValueError):
+        E.count_pattern(g, G.cycle_multi(3))
+    with pytest.raises(ValueError):
+        E.count_patterns(sample_uniform_simple(6, 9, derive_rng(23, 1)), ["c3", G.cycle_simple(3)])
+
+
+def test_unhandled_core_raises():
+    # the wheel on 5 vertices has minimum degree 3 and is not complete
+    g = sample_uniform_simple(8, 20, derive_rng(29, 0))
+    wheel = tuple((0, y, 1) for y in range(1, 5)) + ((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1))
+    with pytest.raises(NotImplementedError):
+        E._hom(E._Host(g), 5, wheel, object)
+
+
 def test_counters_match_naive_oracle():
     rng = derive_rng(17, 0)
     for _ in range(6):
@@ -60,7 +104,7 @@ def test_counters_match_naive_oracle():
             if f.n <= g.n:
                 assert E.count_pattern(g, p) == O.naive_subgraph_count(g, f), (g, p)
         h = _simple_with_hub(rng)
-        for p in ("p3", "p4", "k13", "c3", "c4", "c5"):
+        for p in ("p3", "p4", "k13", "c3", "c4", "c5", "k4"):
             assert E.count_pattern(h, p) == O.naive_subgraph_count(h, G.shape(p, "simple")), (h, p)
 
 
@@ -205,6 +249,8 @@ def test_config_rejects_unknown_keys():
     assert ExperimentConfig.from_json(data).replicates == 3
     with pytest.raises(ValueError, match="replicats"):
         ExperimentConfig.from_json({**data, "replicats": 99})
+    with pytest.raises(ValueError, match="statistic"):
+        ExperimentConfig.from_json({**data, "statistic": "median"})
 
 
 def test_run_refuses_to_drop_patterns():
@@ -216,6 +262,12 @@ def test_run_refuses_to_drop_patterns():
     one = E.run(dataclasses.replace(cfg, pattern=["c3"]))
     assert one.pattern == "c3"
     assert one.empirical_pmf == E.run_many(cfg, ["loop", "c3"])["c3"].empirical_pmf
+
+
+def test_config_takes_m_or_m_rule_not_both():
+    with pytest.raises(ValueError, match="m_rule"):
+        ExperimentConfig(model="uniform-multi", n=10, m=5, m_rule={"c": 0.5, "alpha": 1.0},
+                         pattern="loop", replicates=1, seed=1)
 
 
 def test_m_rule_rounding():
