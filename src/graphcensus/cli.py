@@ -26,6 +26,10 @@ from .models import (
 )
 
 
+class _UsageError(Exception):
+    """An option the verb cannot honour; reported as a usage error."""
+
+
 def _parse_shape(text: str, kind: str):
     if text.lstrip().startswith("{"):
         return graph_from_json(text)
@@ -58,6 +62,10 @@ def _cmd_oracle(args):
 
 def _cmd_exact(args):
     kind = "multigraph" if args.kind == "multi" else "simple"
+    if args.delta is not None and kind == "simple":
+        raise _UsageError("--delta weights multigraphs only; it cannot be used with --kind simple")
+    if args.delta is not None and args.t is not None:
+        raise _UsageError("--t counts uniform hosts; it cannot be used with --delta")
     delta = _parse_delta(args.delta)
     fam = _parse_shape(args.family, kind) if args.family else None
     if args.t is not None:
@@ -87,6 +95,8 @@ def _cmd_exact(args):
 
 
 def _cmd_sample(args):
+    if args.delta is not None and args.kind == "simple":
+        raise _UsageError("--delta draws multigraphs; it cannot be used with --kind simple")
     delta = _parse_delta(args.delta)
     lines = []
     for r in range(args.count):
@@ -97,7 +107,7 @@ def _cmd_sample(args):
             g = sample_uniform_multigraph(args.n, args.m, rng)
         else:
             g = sample_uniform_simple(args.n, args.m, rng)
-        lines.append(graph_to_json(g))
+        lines.append(graph_to_json(g.to_graph()))
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -202,8 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        args.func(args)
+    except _UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
     return 0
 
 

@@ -6,8 +6,8 @@ Replicates are independent; replicate r derives its RNG stream from
 seed) regardless of the worker count (the wall-clock runtime field is the
 one exception and is excluded from comparisons).
 
-Copies of a builtin shape in sampled hosts are counted by one engine over
-numpy arrays of the host: the shape is a signed sum of homomorphism counts
+Copies of a builtin shape are counted by one engine over the numpy arrays
+of a ``graphs.Host``, the form every sampler returns: the shape is a signed sum of homomorphism counts
 of its quotients, each weighted by pure powers of the host's pair and loop
 multiplicities and evaluated by vertex elimination and clique closing.
 """
@@ -34,6 +34,7 @@ from . import predictors
 # experiments.subgraph_count, and tests/test_bench_contract.py installs it
 from .graphs import (  # noqa: F401
     Graph,
+    Host,
     Multigraph,
     is_isomorphic,
     shape,
@@ -69,96 +70,6 @@ from .specialfuncs import chi_square_survival, poisson_pmf, stirling1_signed
 # cliques (Chiba and Nishizeki, SIAM J. Comput. 1985).  All sums are exact:
 # int64 while a bound on every partial sum stays below 2^63, Python ints
 # (dtype=object) past it.
-
-
-class _Host:
-    """One host as arrays over vertices 0..n (0 unused).
-
-    The unique non-loop pairs pu < pv, with multiplicity pk, are coded
-    ``pu * N + pv`` (N = n + 1) in sorted ``codes``; ``sym`` holds every pair
-    in both orientations, sorted, with ``mult`` alongside; ``s1`` is each
-    vertex's number of non-loop edge ends, ``lv`` its number of loops and
-    ``max_degree`` the largest s1 + 2 lv.
-    """
-
-    def __init__(self, g: Graph):
-        self.kind = g.kind
-        self.n = g.n
-        N = self.N = g.n + 1
-        seq = g.edge_seq if isinstance(g, Multigraph) else chain.from_iterable(g.edges)
-        ends = np.fromiter(seq, dtype=np.int64, count=2 * g.m)
-        u, v = ends[0::2], ends[1::2]
-        keep = u != v
-        self.lv = np.bincount(u[~keep], minlength=N)
-        u, v = u[keep], v[keep]
-        self.codes, pk = np.unique(np.minimum(u, v) * N + np.maximum(u, v), return_counts=True)
-        self.pk = pk.astype(np.int64)
-        self.pu, self.pv = np.divmod(self.codes, N)
-        self.s1 = np.bincount(np.concatenate((u, v)), minlength=N)
-        self.max_degree = int((self.s1 + 2 * self.lv).max(initial=0))
-        sym = np.concatenate((self.codes, self.pv * N + self.pu))
-        order = np.argsort(sym)
-        self.sym = sym[order]
-        self.mult = np.concatenate((self.pk, self.pk))[order]
-        self._memo: dict = {}
-
-    def edge(self, k: int, dtype) -> tuple:
-        """The factor M^k over ``sym``: (codes, values)."""
-        key = ("edge", k, dtype)
-        if key not in self._memo:
-            self._memo[key] = (self.sym, self.mult.astype(dtype) ** k)
-        return self._memo[key]
-
-    def power_sum(self, k: int, dtype) -> np.ndarray:
-        """Per-vertex sum over neighbours b of M[a, b]^k."""
-        key = ("sum", k, dtype)
-        if key not in self._memo:
-            out = np.zeros(self.N, dtype=dtype)
-            np.add.at(out, self.sym // self.N, self.edge(k, dtype)[1])
-            self._memo[key] = out
-        return self._memo[key]
-
-    def cliques(self, q: int) -> tuple:
-        """Every q-clique (q >= 2) once: q vertex arrays, the multiplicities
-        of the pair at positions (i, j), i < j, and the out-pair that ends
-        the clique.
-
-        Pairs point from lower (s1, id) to higher and are grouped by their
-        lower end.  A clique is found once, at its lowest vertex x, as
-        out-pairs of x at increasing positions: each (q-1)-clique found at x
-        is extended by every later out-pair of x whose far end is joined to
-        all the clique's other vertices.
-        """
-        key = ("clique", q)
-        if key not in self._memo:
-            N = self.N
-            if q == 2:
-                rank = np.empty(N, dtype=np.int64)
-                rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
-                up = rank[self.pu] < rank[self.pv]
-                x = np.where(up, self.pu, self.pv)
-                order = np.argsort(x, kind="stable")
-                y = np.where(up, self.pv, self.pu)[order]
-                self._memo[key] = ([x[order], y], {(0, 1): self.pk[order]}, np.arange(x.size))
-            else:
-                (ox, oy), out, _ = self.cliques(2)
-                verts, mult, last = self.cliques(q - 1)
-                later = np.searchsorted(ox, ox[last], side="right") - last - 1
-                i = np.repeat(np.arange(last.size), later)
-                nxt = last[i] + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
-                found: list = []
-                for t in range(1, q - 1):
-                    b, d = verts[t][i], oy[nxt]
-                    want = np.minimum(b, d) * N + np.maximum(b, d)
-                    pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
-                    hit = self.codes[pos] == want
-                    i, nxt = i[hit], nxt[hit]
-                    found = [p[hit] for p in found] + [pos[hit]]
-                mult = {pair: m[i] for pair, m in mult.items()}
-                mult[0, q - 1] = out[0, 1][nxt]
-                mult.update({(t, q - 1): self.pk[p] for t, p in enumerate(found, start=1)})
-                self._memo[key] = ([v[i] for v in verts] + [oy[nxt]], mult, nxt)
-        return self._memo[key]
 
 
 def _set_partitions(n: int):
@@ -221,7 +132,7 @@ def _oriented(factor, N: int, first: bool):
     return (hi, lo, vals) if first or k is not None else (lo, hi, vals)
 
 
-def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
+def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
     """Homomorphism count of a connected quotient, weighted by M^k per edge
     and L^k per loop entry.
 
@@ -305,7 +216,7 @@ def _hom(host: _Host, q: int, edges: tuple, dtype) -> int:
     return int(w[x].sum())
 
 
-def _close_clique(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
+def _close_clique(host: Host, verts: list, fac: dict, w: list, dtype) -> int:
     """Sum over the q! ways to lay the complete quotient on each host q-clique."""
     at, mult, _ = host.cliques(len(verts))
     mult = {pair: m.astype(dtype) for pair, m in mult.items()}
@@ -322,7 +233,7 @@ def _close_clique(host: _Host, verts: list, fac: dict, w: list, dtype) -> int:
     return total
 
 
-def _count(host: _Host, name: str) -> int:
+def _count(host: Host, name: str) -> int:
     divisor, n_edges, basis = _spasm(name, host.kind)
     # summing outward from the root of a spanning tree of a quotient bounds
     # every partial sum of its homomorphism count by n * max(degree)^E
@@ -333,17 +244,22 @@ def _count(host: _Host, name: str) -> int:
     return copies
 
 
-def count_pattern(g: Graph, pattern: str) -> int:
+def count_pattern(g: Graph | Host, pattern: str) -> int:
     """Copies in g of the builtin shape named ``pattern``."""
     return count_patterns(g, [pattern])[0]
 
 
-def count_patterns(g: Graph, patterns: list[str]) -> tuple[int, ...]:
-    """Copies in g of each named builtin shape of g's kind, sharing the
-    host's array form; an unknown name (or a pattern graph) raises
-    ``ValueError``."""
-    host = _Host(g)
-    return tuple(_count(host, p) for p in patterns)
+def count_patterns(g: Graph | Host, patterns: list[str]) -> tuple[int, ...]:
+    """Copies in g of each named builtin shape of g's kind.
+
+    A sampled ``Host`` is counted as it is and keeps the arrays built for
+    it; a ``Multigraph`` or ``SimpleGraph`` is read into a ``Host`` first.
+    An unknown name (or a pattern graph) raises ``ValueError``.
+    """
+    if not isinstance(g, Host):
+        seq = g.edge_seq if g.kind == "multigraph" else chain.from_iterable(g.edges)
+        g = Host(g.n, np.fromiter(seq, dtype=np.int64, count=2 * g.m), g.kind)
+    return tuple(_count(g, p) for p in patterns)
 
 
 # ---------------------------------------------------------------------------

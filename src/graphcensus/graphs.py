@@ -13,6 +13,10 @@ their multisets of unordered endpoint pairs.  This is the reading under which
 there are exactly n^(2m) canonical (n,m)-multigraphs and a single non-loop
 edge has 2 canonical representatives.
 
+A ``Host`` is the array form of either kind, as the samplers draw it and
+the copy counter reads it: one int64 array of the 2m edge-end labels in
+edge order.  ``Host.to_graph()`` gives the equal graph value.
+
 Everything in this module is exact (Fraction / int) and pure; graph values
 are immutable after construction.
 """
@@ -26,6 +30,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
+
+import numpy as np
 
 
 class SizeCapError(ValueError):
@@ -154,6 +160,163 @@ class SimpleGraph:
 
 
 Graph = Multigraph | SimpleGraph
+
+
+class Host:
+    """A host as one int64 array: edge j joins ends[2j-2] and ends[2j-1].
+
+    Labels lie in 1..n.  A ``kind`` "multigraph" host reads back as
+    ``edge_seq``, a "simple" host (no loops, no repeated pairs) as
+    ``edges``; ``to_graph()`` gives the equal ``Multigraph`` or
+    ``SimpleGraph``.  The construction checks what those constructors check.
+
+    The arrays the copy counter reads are built on the first count and kept,
+    so that a host on a huge label range costs O(m) until then.  Over
+    vertices 0..n (0 unused): ``lv`` loops and ``s1`` non-loop edge ends per
+    vertex, and ``max_degree`` the largest s1 + 2 lv.  The unique non-loop
+    pairs pu < pv, with multiplicity pk, are coded ``pu * N + pv``
+    (N = n + 1) in sorted ``codes``; ``sym`` holds every pair in both
+    orientations, sorted, with ``mult`` alongside.
+    """
+
+    _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "codes", "pk", "pu", "pv", "sym", "mult"))
+
+    def __init__(self, n: int, ends, kind: str = "multigraph"):
+        if kind not in ("multigraph", "simple"):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        self.n, self.N, self.kind = int(n), int(n) + 1, kind
+        self.ends = np.array(ends, dtype=np.int64)
+        if self.ends.ndim != 1 or self.ends.size % 2:
+            raise ValueError("edge ends must be a flat sequence of even length")
+        if self.ends.size and not (1 <= self.ends.min() and self.ends.max() <= n):
+            raise ValueError(f"vertex labels must lie in 1..{n}")
+        if kind == "simple":
+            u, v = self.ends[0::2], self.ends[1::2]
+            if (u == v).any():
+                raise ValueError("loops are not allowed in a simple graph")
+            codes = np.sort(self._pair_codes(u, v))
+            if (codes[1:] == codes[:-1]).any():
+                raise ValueError("repeated pairs are not allowed in a simple graph")
+        self.ends.flags.writeable = False
+        self._memo: dict = {}
+
+    def __getattr__(self, name):
+        # reached only when an attribute is missing: a count array before
+        # the first count, or edge_seq / edges read on the other kind
+        if name not in Host._COUNT_ARRAYS or "ends" not in self.__dict__:
+            raise AttributeError(f"a {self.__dict__.get('kind')} Host has no attribute {name!r}")
+        self._build_count_arrays()
+        return self.__dict__[name]
+
+    def _pair_codes(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """min * N + max of each pair; refused where int64 would overflow."""
+        if self.n * self.N >= 2**63:
+            raise ValueError(f"n = {self.n} is too large for int64 pair codes")
+        return np.minimum(u, v) * self.N + np.maximum(u, v)
+
+    def _build_count_arrays(self):
+        u, v = self.ends[0::2], self.ends[1::2]
+        keep = u != v
+        self.codes, pk = np.unique(self._pair_codes(u[keep], v[keep]), return_counts=True)
+        self.lv = np.bincount(u[~keep], minlength=self.N)
+        u, v = u[keep], v[keep]
+        self.pk = pk.astype(np.int64)
+        self.pu, self.pv = np.divmod(self.codes, self.N)
+        self.s1 = np.bincount(np.concatenate((u, v)), minlength=self.N)
+        self.max_degree = int((self.s1 + 2 * self.lv).max(initial=0))
+        sym = np.concatenate((self.codes, self.pv * self.N + self.pu))
+        order = np.argsort(sym)
+        self.sym = sym[order]
+        self.mult = np.concatenate((self.pk, self.pk))[order]
+
+    @property
+    def m(self) -> int:
+        return self.ends.size // 2
+
+    def degrees(self) -> tuple[int, ...]:
+        """Degree of each vertex 1..n; a loop contributes 2."""
+        return tuple(np.bincount(self.ends, minlength=self.N)[1:].tolist())
+
+    @property
+    def edge_seq(self) -> tuple[int, ...]:
+        """A multigraph host's ``Multigraph.edge_seq``."""
+        if self.kind != "multigraph":
+            raise AttributeError("edge_seq")
+        return tuple(self.ends.tolist())
+
+    @property
+    def edges(self) -> frozenset:
+        """A simple host's ``SimpleGraph.edges``: its (u < v) pairs."""
+        if self.kind != "simple":
+            raise AttributeError("edges")
+        u, v = self.ends[0::2], self.ends[1::2]
+        return frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+    def to_graph(self) -> Graph:
+        """The equal ``Multigraph`` or ``SimpleGraph``, for the exact layer."""
+        if self.kind == "multigraph":
+            return Multigraph(self.n, self.edge_seq)
+        return SimpleGraph(self.n, self.edges)
+
+    def edge(self, k: int, dtype) -> tuple:
+        """The factor M^k over ``sym``: (codes, values)."""
+        key = ("edge", k, dtype)
+        if key not in self._memo:
+            self._memo[key] = (self.sym, self.mult.astype(dtype) ** k)
+        return self._memo[key]
+
+    def power_sum(self, k: int, dtype) -> np.ndarray:
+        """Per-vertex sum over neighbours b of M[a, b]^k."""
+        key = ("sum", k, dtype)
+        if key not in self._memo:
+            out = np.zeros(self.N, dtype=dtype)
+            np.add.at(out, self.sym // self.N, self.edge(k, dtype)[1])
+            self._memo[key] = out
+        return self._memo[key]
+
+    def cliques(self, q: int) -> tuple:
+        """Every q-clique (q >= 2) once: q vertex arrays, the multiplicities
+        of the pair at positions (i, j), i < j, and the out-pair that ends
+        the clique.
+
+        Pairs point from lower (s1, id) to higher and are grouped by their
+        lower end.  A clique is found once, at its lowest vertex x, as
+        out-pairs of x at increasing positions: each (q-1)-clique found at x
+        is extended by every later out-pair of x whose far end is joined to
+        all the clique's other vertices.
+        """
+        key = ("clique", q)
+        if key not in self._memo:
+            N = self.N
+            if q == 2:
+                rank = np.empty(N, dtype=np.int64)
+                rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
+                up = rank[self.pu] < rank[self.pv]
+                x = np.where(up, self.pu, self.pv)
+                order = np.argsort(x, kind="stable")
+                y = np.where(up, self.pv, self.pu)[order]
+                self._memo[key] = ([x[order], y], {(0, 1): self.pk[order]}, np.arange(x.size))
+            else:
+                (ox, oy), out, _ = self.cliques(2)
+                verts, mult, last = self.cliques(q - 1)
+                later = np.searchsorted(ox, ox[last], side="right") - last - 1
+                i = np.repeat(np.arange(last.size), later)
+                nxt = last[i] + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+                found: list = []
+                for t in range(1, q - 1):
+                    b, d = verts[t][i], oy[nxt]
+                    want = np.minimum(b, d) * N + np.maximum(b, d)
+                    pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
+                    hit = self.codes[pos] == want
+                    i, nxt = i[hit], nxt[hit]
+                    found = [p[hit] for p in found] + [pos[hit]]
+                mult = {pair: m[i] for pair, m in mult.items()}
+                mult[0, q - 1] = out[0, 1][nxt]
+                mult.update({(t, q - 1): self.pk[p] for t, p in enumerate(found, start=1)})
+                self._memo[key] = ([v[i] for v in verts] + [oy[nxt]], mult, nxt)
+        return self._memo[key]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ degrees plus isolated vertices (sinh + 1), and the power law with
 delta_d = d^{-beta} d! so that a Boltzmann vertex at x = 1 has degree d with
 probability d^{-beta}/zeta(beta).
 
-Samplers use numpy generators.  Replicate r of an experiment derives its
+Samplers use numpy generators and return a ``graphs.Host`` built from the
+arrays they draw; ``Host.to_graph()`` gives the exact layer's graph value.
+Replicate r of an experiment derives its
 stream from (seed, r) so results do not depend on worker scheduling.
 """
 
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Multigraph, SimpleGraph
+from .graphs import Host
 from .series import TruncatedSeries
 from .specialfuncs import polylog, stirling1_signed, zeta
 
@@ -360,15 +362,15 @@ def derive_rng(seed: int, replicate: int) -> np.random.Generator:
 # samplers
 
 
-def sample_uniform_multigraph(n: int, m: int, rng: np.random.Generator) -> Multigraph:
-    """Uniform canonical (n,m)-multigraph: 2m independent uniform labels."""
+def sample_uniform_multigraph(n: int, m: int, rng: np.random.Generator) -> Host:
+    """Uniform canonical (n,m)-multigraph: 2m independent uniform labels,
+    returned as a multigraph ``Host``."""
     if n < 1:
         raise ValueError("need n >= 1")
-    seq = rng.integers(1, n + 1, size=2 * m)
-    return Multigraph(n, seq.tolist())
+    return Host(n, rng.integers(1, n + 1, size=2 * m), "multigraph")
 
 
-def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> SimpleGraph:
+def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> Host:
     """Uniform simple (n,m)-graph: each m-subset of the C(n,2) vertex pairs
     has probability 1 / C(C(n,2), m).
 
@@ -379,7 +381,7 @@ def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> SimpleGra
     The float root is exact at a row's first rank, 8c + 1 = (2v-1)^2, and
     rounding is monotone, so v can only come out one row too high, as it
     does at many rows' last rank past row 2^27.  Ranks are int64, so
-    n(n+1) must stay below 2^63.
+    n(n+1) must stay below 2^63.  Returns a simple ``Host``.
     """
     total_pairs = n * (n - 1) // 2
     if m > total_pairs:
@@ -390,7 +392,7 @@ def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> SimpleGra
     v = ((1 + np.sqrt(8.0 * codes + 1)) // 2).astype(np.int64)
     v -= v * (v - 1) // 2 > codes
     u = codes - v * (v - 1) // 2
-    return SimpleGraph(n, zip((u + 1).tolist(), (v + 1).tolist()))
+    return Host(n, np.column_stack((u, v)).ravel() + 1, "simple")
 
 
 def boltzmann_degree(delta: WeightSpec, x: float, rng: np.random.Generator) -> int:
@@ -399,15 +401,16 @@ def boltzmann_degree(delta: WeightSpec, x: float, rng: np.random.Generator) -> i
     return int(dist.sample(rng, 1)[0])
 
 
-def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) -> Multigraph:
+def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) -> Host:
     """Pair half-edges uniformly: edge j joins half-edges 2j-1 and 2j.
 
     Assigning the 2m half-edge labels uniformly and reading stubs in label
-    order is the same as applying a uniform permutation to the stub vector.
+    order is the same as applying a uniform permutation to the stub vector,
+    whose permuted labels are the multigraph ``Host``'s edge ends.
     """
     stubs = np.repeat(np.arange(1, n + 1), degrees)
     perm = rng.permutation(stubs.shape[0])
-    return Multigraph(n, stubs[perm].tolist())
+    return Host(n, stubs[perm], "multigraph")
 
 
 @lru_cache(maxsize=4096)
@@ -479,11 +482,12 @@ def _tuning_for_sampler(delta: WeightSpec, n: int, m: int) -> float:
     return solve_tuning(delta, surrogate)
 
 
-def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Generator) -> Multigraph:
+def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Generator) -> Host:
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
     Draws n Boltzmann degrees conditioned on summing to exactly 2m
-    (``_conditioned_degrees``), then pairs half-edges uniformly.
+    (``_conditioned_degrees``), then pairs half-edges uniformly
+    (``_assemble_multigraph``, which returns a multigraph ``Host``).
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
@@ -493,14 +497,14 @@ def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Ge
 
 def sample_configuration(
     n: int, pi: DegreeDistribution, rng: np.random.Generator, m: int | None = None
-) -> Multigraph:
+) -> Host:
     """Configuration-model sampler with degree distribution pi.
 
     Free-m variant rejects odd degree sums; the m-conditioned variant draws
     the degrees conditioned on summing to exactly 2m, as
     ``sample_delta_multigraph`` does (``_conditioned_degrees``).  Half-edge
     pairing is uniform, so with pi = pi_x the output law equals the
-    Boltzmann sampler's law.
+    Boltzmann sampler's law.  Returns a multigraph ``Host``.
     """
     if m is None:
         if n % 2 and not pi.tail_mass and (np.flatnonzero(pi.probs) % 2).all():

@@ -67,6 +67,32 @@ def test_sample_weighted(capsys):
         assert edges[0][0] != edges[0][1]  # no loops under 1+x
 
 
+def _usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_sample_refuses_delta_with_simple_kind(capsys):
+    # --delta draws multigraphs, loops included
+    err = _usage_error(capsys, "sample", "--kind", "simple", "--n", "4", "--m", "2", "--delta", "finite:1,1,1,1")
+    assert "--delta" in err and "--kind simple" in err
+
+
+def test_exact_refuses_delta_with_t(capsys):
+    # the t-slice counts uniform hosts: 36 here, whatever the weights
+    err = _usage_error(capsys, "exact", "--n", "3", "--m", "2", "--family", "loop", "--t", "0",
+                       "--delta", "finite:1,1,1")
+    assert "--t" in err and "--delta" in err
+
+
+def test_exact_refuses_delta_with_simple_kind(capsys):
+    # a weighted total is a multigraph total (3480 here), not a simple one
+    err = _usage_error(capsys, "exact", "--kind", "simple", "--n", "4", "--m", "3", "--delta", "finite:1,1,1,1")
+    assert "--delta" in err and "--kind simple" in err
+
+
 def test_predict_verb(capsys):
     out = run_cli(capsys, "predict", "--theorem", "lambda-simple", "--shape", "c3", "--c", "1/2")
     data = json.loads(out)

@@ -68,7 +68,7 @@ def test_every_builtin_shape_is_counted_without_subgraph_count(monkeypatch):
         hosts.append(G.Multigraph(g.n, seq))
     for n in (4, 5, 6, 7, 7, 8, 8):
         # dense simple hosts, which hold 4-cliques
-        hosts.append(sample_uniform_simple(n, int(rng.integers(math.comb(n, 2) * 2 // 3, math.comb(n, 2) + 1)), rng))
+        hosts.append(sample_uniform_simple(n, int(rng.integers(math.comb(n, 2) * 2 // 3, math.comb(n, 2) + 1)), rng).to_graph())
     hosts.append(G.Multigraph(8, sample_uniform_multigraph(8, 40, rng).edge_seq))
     assert any(G.subgraph_count(g, G.complete_simple(4)) for g in hosts if g.kind == "simple")
     classes = [(a == b, k) for g in hosts if g.kind == "multigraph" for (a, b), k in g.pair_multiplicities().items()]
@@ -77,6 +77,25 @@ def test_every_builtin_shape_is_counted_without_subgraph_count(monkeypatch):
         names = sorted(G._MULTI_SHAPES if g.kind == "multigraph" else G._SIMPLE_SHAPES)
         expected = tuple(G.subgraph_count(g, G.shape(p, g.kind)) for p in names)
         assert E.count_patterns(g, names) == expected, g
+
+
+def test_host_counts_equal_its_graph_counts():
+    rng = derive_rng(31, 0)
+    hosts = [sample_uniform_multigraph(9, 14, rng), sample_uniform_simple(9, 20, rng)]
+    for _ in range(10):
+        g = _multigraph_with_hub(rng)
+        hosts.append(G.Host(g.n, g.edge_seq, "multigraph"))
+        h = _simple_with_hub(rng)
+        hosts.append(G.Host(h.n, [v for e in h.edges for v in e], "simple"))
+        assert (hosts[-2].to_graph(), hosts[-1].to_graph()) == (g, h)
+    for host in hosts:
+        names = sorted(G._MULTI_SHAPES if host.kind == "multigraph" else G._SIMPLE_SHAPES)
+        assert E.count_patterns(host, names) == E.count_patterns(host.to_graph(), names), host.to_graph()
+
+
+def test_count_refuses_pair_codes_past_int64():
+    with pytest.raises(ValueError, match="int64"):
+        E.count_pattern(G.Host(10**12, [1, 2, 3, 3]), "loop")
 
 
 def test_pattern_graphs_are_refused():
@@ -92,7 +111,7 @@ def test_unhandled_core_raises():
     g = sample_uniform_simple(8, 20, derive_rng(29, 0))
     wheel = tuple((0, y, 1) for y in range(1, 5)) + ((1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1))
     with pytest.raises(NotImplementedError):
-        E._hom(E._Host(g), 5, wheel, object)
+        E._hom(g, 5, wheel, object)
 
 
 def test_counters_match_naive_oracle():
@@ -110,7 +129,7 @@ def test_counters_match_naive_oracle():
 
 def test_simple_c6_is_a_shape():
     g = sample_uniform_simple(20, 30, derive_rng(5, 0))
-    assert E.count_pattern(g, "c6") == G.subgraph_count(g, G.cycle_simple(6))
+    assert E.count_pattern(g, "c6") == G.subgraph_count(g.to_graph(), G.cycle_simple(6))
     with pytest.raises(ValueError):
         E.count_pattern(g, "loop")
 

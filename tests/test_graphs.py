@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def test_essential_density_vs_balance():
     for _ in range(60):
         n = int(rng.integers(1, 6))
         m = int(rng.integers(0, 7))
-        g = sample_uniform_multigraph(n, m, rng)
+        g = sample_uniform_multigraph(n, m, rng).to_graph()
         d_star, _ = G.essential_density(g)
         assert d_star >= G.density(g)
         balanced = G.balance_class(g) != G.BalanceClass.UNBALANCED
@@ -153,7 +154,7 @@ def test_subgraph_count_vs_naive_sampled_4_4():
         G.star_multi(3),
     ]
     for _ in range(120):
-        host = sample_uniform_multigraph(4, 4, rng)
+        host = sample_uniform_multigraph(4, 4, rng).to_graph()
         for f in patterns:
             assert G.subgraph_count(host, f) == O.naive_subgraph_count(host, f), (host, f)
 
@@ -161,7 +162,7 @@ def test_subgraph_count_vs_naive_sampled_4_4():
 def test_subgraph_copies_match_counts():
     rng = derive_rng(29, 0)
     for _ in range(60):
-        host = sample_uniform_multigraph(int(rng.integers(2, 5)), int(rng.integers(0, 6)), rng)
+        host = sample_uniform_multigraph(int(rng.integers(2, 5)), int(rng.integers(0, 6)), rng).to_graph()
         for f in [G.edge_multi(), G.path_multi(3), G.cycle_multi(3)]:
             assert len(G.subgraph_copies(host, f)) == G.subgraph_count(host, f)
 
@@ -227,3 +228,49 @@ def test_reimport_releases_old_module():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("n, ends, kind", [
+    (3, [0, 1], "multigraph"),  # label 0
+    (3, [1, 4], "multigraph"),  # label n + 1
+    (3, [1, 2, 3], "multigraph"),  # odd length
+    (3, [0, 1], "simple"),
+    (3, [1, 4], "simple"),
+    (3, [1, 2, 3], "simple"),
+    (3, [1, 2, 2, 2], "simple"),  # a loop
+    (3, [1, 2, 3, 1, 2, 1], "simple"),  # the pair (1, 2) twice
+    (3, [1, 2], "tree"),
+    (-1, [], "multigraph"),
+])
+def test_host_refuses_what_the_graph_constructors_refuse(n, ends, kind):
+    with pytest.raises(ValueError):
+        G.Host(n, ends, kind)
+
+
+def test_host_reads_back_as_its_graph():
+    multi = G.Host(3, [1, 2, 2, 1, 3, 3, 1, 2])
+    assert multi.m == 4 and multi.degrees() == (3, 3, 2)
+    assert multi.edge_seq == (1, 2, 2, 1, 3, 3, 1, 2)
+    assert multi.to_graph() == G.Multigraph(3, (1, 2, 2, 1, 3, 3, 1, 2))
+    simple = G.Host(4, [3, 1, 2, 3], "simple")
+    assert simple.edges == {(1, 3), (2, 3)} and simple.degrees() == (1, 1, 2, 0)
+    assert simple.to_graph() == G.SimpleGraph(4, [(1, 3), (2, 3)])
+    with pytest.raises(AttributeError):
+        multi.edges
+    with pytest.raises(AttributeError):
+        simple.edge_seq
+    with pytest.raises(ValueError):
+        multi.ends[0] = 2  # the ends are read-only
+
+
+def test_host_on_a_huge_label_range_stays_small():
+    # nothing of size n is built until a count asks for it
+    ends = [1, 10**12, 5, 5, 10**12, 7]
+    tracemalloc.start()
+    try:
+        host = G.Host(10**12, ends, "multigraph")
+        assert host.edge_seq == tuple(ends) and host.m == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak

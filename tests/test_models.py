@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphcensus import experiments as E
+from graphcensus import graphs as G
 from graphcensus import models as M
 from graphcensus import oracle as O
 from graphcensus.models import (
@@ -242,6 +243,27 @@ def test_uniform_simple_small_sizes_and_row_boundaries():
         pairs = [(u, v) for v in sorted(rows) for u in {0, v - 1}]
         g = sample_uniform_simple(n, len(pairs), _FixedCodes([v * (v - 1) // 2 + u for u, v in pairs]))
         assert g.edges == {(u + 1, v + 1) for u, v in pairs}, n
+
+
+def test_samplers_return_hosts_equal_to_the_graphs_they_drew():
+    # fixed streams, pinned: the array host reads back the same labels the
+    # samplers drew as graph tuples
+    pi = DegreeDistribution.from_weight_spec(CUBIC, 1.0)
+    pinned = [
+        (sample_uniform_multigraph(7, 5, derive_rng(3, 0)), (6, 1, 2, 2, 2, 6, 7, 5, 1, 1), (3, 3, 0, 0, 1, 2, 1)),
+        (sample_delta_multigraph(7, 5, CUBIC, derive_rng(3, 0)), (5, 2, 4, 4, 2, 3, 7, 7, 3, 7), (0, 2, 2, 2, 1, 0, 3)),
+        (sample_configuration(7, pi, derive_rng(3, 0)), (2, 1, 2, 5, 4, 2), (1, 3, 0, 1, 1, 0, 0)),
+        (sample_configuration(7, pi, derive_rng(3, 0), m=5), (1, 2, 3, 4, 4, 1, 4, 5, 2, 2), (2, 3, 1, 3, 1, 0, 0)),
+    ]
+    for host, seq, degrees in pinned:
+        assert isinstance(host, G.Host) and host.kind == "multigraph"
+        assert (host.edge_seq, host.degrees(), host.m) == (seq, degrees, len(seq) // 2)
+        assert host.to_graph() == G.Multigraph(7, seq)
+    host = sample_uniform_simple(7, 5, derive_rng(3, 0))
+    edges = {(1, 3), (1, 4), (2, 4), (4, 6), (6, 7)}
+    assert isinstance(host, G.Host) and host.kind == "simple"
+    assert (host.edges, host.degrees(), host.m) == (edges, (2, 1, 1, 3, 0, 2, 1), 5)
+    assert host.to_graph() == G.SimpleGraph(7, edges)
 
 
 def _host_law(n, m, spec):

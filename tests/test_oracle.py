@@ -148,6 +148,6 @@ def test_naive_vs_engine_simple():
     for _ in range(40):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(0, math.comb(n, 2) + 1))
-        host = sample_uniform_simple(n, m, rng)
+        host = sample_uniform_simple(n, m, rng).to_graph()
         for f in (G.edge_simple(), G.path_simple(3), G.cycle_simple(3)):
             assert G.subgraph_count(host, f) == O.naive_subgraph_count(host, f)
