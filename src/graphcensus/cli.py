@@ -26,10 +26,6 @@ from .models import (
 )
 
 
-class _UsageError(Exception):
-    """An option the verb cannot honour; reported as a usage error."""
-
-
 def _parse_shape(text: str, kind: str):
     if text.lstrip().startswith("{"):
         return graph_from_json(text)
@@ -63,9 +59,9 @@ def _cmd_oracle(args):
 def _cmd_exact(args):
     kind = "multigraph" if args.kind == "multi" else "simple"
     if args.delta is not None and kind == "simple":
-        raise _UsageError("--delta weights multigraphs only; it cannot be used with --kind simple")
+        args.error("--delta weights multigraphs only; it cannot be used with --kind simple")
     if args.delta is not None and args.t is not None:
-        raise _UsageError("--t counts uniform hosts; it cannot be used with --delta")
+        args.error("--t counts uniform hosts; it cannot be used with --delta")
     delta = _parse_delta(args.delta)
     fam = _parse_shape(args.family, kind) if args.family else None
     if args.t is not None:
@@ -96,7 +92,7 @@ def _cmd_exact(args):
 
 def _cmd_sample(args):
     if args.delta is not None and args.kind == "simple":
-        raise _UsageError("--delta draws multigraphs; it cannot be used with --kind simple")
+        args.error("--delta draws multigraphs; it cannot be used with --kind simple")
     delta = _parse_delta(args.delta)
     lines = []
     for r in range(args.count):
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="exact number of copies")
     p.add_argument("--expected", action="store_true", help="expected copies instead of totals")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_exact)
+    p.set_defaults(func=_cmd_exact, error=p.error)
 
     p = sub.add_parser("sample", help="draw random graphs as JSON lines")
     p.add_argument("--kind", choices=["multi", "simple"], default="multi")
@@ -179,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, error=p.error)
 
     p = sub.add_parser("predict", help="asymptotic predictions")
     p.add_argument(
@@ -212,12 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        args.func(args)
-    except _UsageError as exc:
-        parser.error(f"{args.command}: {exc}")
+    args = build_parser().parse_args(argv)
+    args.func(args)
     return 0
 
 

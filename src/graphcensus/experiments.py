@@ -7,9 +7,10 @@ seed) regardless of the worker count (the wall-clock runtime field is the
 one exception and is excluded from comparisons).
 
 Copies of a builtin shape are counted by one engine over the numpy arrays
-of a ``graphs.Host``, the form every sampler returns: the shape is a signed sum of homomorphism counts
-of its quotients, each weighted by pure powers of the host's pair and loop
-multiplicities and evaluated by vertex elimination and clique closing.
+of a ``graphs.Host``, the form every sampler returns: the shape is a signed
+sum of homomorphism counts of its quotients, each weighted by pure powers
+of the host's pair and loop multiplicities and evaluated by vertex
+elimination and clique closing.
 """
 
 from __future__ import annotations
@@ -250,12 +251,9 @@ def count_pattern(g: Graph | Host, pattern: str) -> int:
 
 
 def count_patterns(g: Graph | Host, patterns: list[str]) -> tuple[int, ...]:
-    """Copies in g of each named builtin shape of g's kind.
-
-    A sampled ``Host`` is counted as it is and keeps the arrays built for
-    it; a ``Multigraph`` or ``SimpleGraph`` is read into a ``Host`` first.
-    An unknown name (or a pattern graph) raises ``ValueError``.
-    """
+    """Copies in g of each named builtin shape of g's kind, counted on g's
+    ``Host`` arrays (a graph value is read into a ``Host`` first); an
+    unknown name (or a pattern graph) raises ``ValueError``."""
     if not isinstance(g, Host):
         seq = g.edge_seq if g.kind == "multigraph" else chain.from_iterable(g.edges)
         g = Host(g.n, np.fromiter(seq, dtype=np.int64, count=2 * g.m), g.kind)

@@ -13,9 +13,8 @@ their multisets of unordered endpoint pairs.  This is the reading under which
 there are exactly n^(2m) canonical (n,m)-multigraphs and a single non-loop
 edge has 2 canonical representatives.
 
-A ``Host`` is the array form of either kind, as the samplers draw it and
-the copy counter reads it: one int64 array of the 2m edge-end labels in
-edge order.  ``Host.to_graph()`` gives the equal graph value.
+A ``Host`` holds either kind as one numpy array of edge ends, the form the
+samplers draw and the copy counter reads.
 
 Everything in this module is exact (Fraction / int) and pure; graph values
 are immutable after construction.
@@ -165,18 +164,16 @@ Graph = Multigraph | SimpleGraph
 class Host:
     """A host as one int64 array: edge j joins ends[2j-2] and ends[2j-1].
 
-    Labels lie in 1..n.  A ``kind`` "multigraph" host reads back as
-    ``edge_seq``, a "simple" host (no loops, no repeated pairs) as
-    ``edges``; ``to_graph()`` gives the equal ``Multigraph`` or
-    ``SimpleGraph``.  The construction checks what those constructors check.
+    Labels lie in 1..n.  A "multigraph" host reads back as ``edge_seq``, a
+    "simple" one (no loops or repeated pairs) as ``edges``, and either as
+    ``to_graph()``; the constructor checks what the graphs' constructors do.
 
-    The arrays the copy counter reads are built on the first count and kept,
-    so that a host on a huge label range costs O(m) until then.  Over
-    vertices 0..n (0 unused): ``lv`` loops and ``s1`` non-loop edge ends per
-    vertex, and ``max_degree`` the largest s1 + 2 lv.  The unique non-loop
-    pairs pu < pv, with multiplicity pk, are coded ``pu * N + pv``
-    (N = n + 1) in sorted ``codes``; ``sym`` holds every pair in both
-    orientations, sorted, with ``mult`` alongside.
+    The count arrays are built on the first count and kept, so a host costs
+    O(m) until then, however large n is.  Over vertices 0..n (0 unused),
+    ``lv`` and ``s1`` count loops and non-loop edge ends, and ``max_degree``
+    is the largest s1 + 2 lv.  The non-loop pairs pu < pv, multiplicity pk,
+    are coded ``pu * N + pv`` (N = n + 1) in sorted ``codes``; ``sym`` holds
+    both orientations, sorted, with ``mult`` alongside.
     """
 
     _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "codes", "pk", "pu", "pv", "sym", "mult"))
@@ -306,8 +303,7 @@ class Host:
                 nxt = last[i] + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
                 found: list = []
                 for t in range(1, q - 1):
-                    b, d = verts[t][i], oy[nxt]
-                    want = np.minimum(b, d) * N + np.maximum(b, d)
+                    want = self._pair_codes(verts[t][i], oy[nxt])
                     pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
                     hit = self.codes[pos] == want
                     i, nxt = i[hit], nxt[hit]

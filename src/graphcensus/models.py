@@ -7,10 +7,10 @@ degrees plus isolated vertices (sinh + 1), and the power law with
 delta_d = d^{-beta} d! so that a Boltzmann vertex at x = 1 has degree d with
 probability d^{-beta}/zeta(beta).
 
-Samplers use numpy generators and return a ``graphs.Host`` built from the
-arrays they draw; ``Host.to_graph()`` gives the exact layer's graph value.
-Replicate r of an experiment derives its
-stream from (seed, r) so results do not depend on worker scheduling.
+Samplers use numpy generators and return a ``graphs.Host`` of the arrays
+they draw (``Host.to_graph()`` gives the graph value).  Replicate r of an
+experiment derives its stream from (seed, r) so results do not depend on
+worker scheduling.
 """
 
 from __future__ import annotations
@@ -363,8 +363,7 @@ def derive_rng(seed: int, replicate: int) -> np.random.Generator:
 
 
 def sample_uniform_multigraph(n: int, m: int, rng: np.random.Generator) -> Host:
-    """Uniform canonical (n,m)-multigraph: 2m independent uniform labels,
-    returned as a multigraph ``Host``."""
+    """Uniform canonical (n,m)-multigraph: 2m independent uniform labels."""
     if n < 1:
         raise ValueError("need n >= 1")
     return Host(n, rng.integers(1, n + 1, size=2 * m), "multigraph")
@@ -381,7 +380,7 @@ def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> Host:
     The float root is exact at a row's first rank, 8c + 1 = (2v-1)^2, and
     rounding is monotone, so v can only come out one row too high, as it
     does at many rows' last rank past row 2^27.  Ranks are int64, so
-    n(n+1) must stay below 2^63.  Returns a simple ``Host``.
+    n(n+1) must stay below 2^63.
     """
     total_pairs = n * (n - 1) // 2
     if m > total_pairs:
@@ -405,8 +404,7 @@ def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) 
     """Pair half-edges uniformly: edge j joins half-edges 2j-1 and 2j.
 
     Assigning the 2m half-edge labels uniformly and reading stubs in label
-    order is the same as applying a uniform permutation to the stub vector,
-    whose permuted labels are the multigraph ``Host``'s edge ends.
+    order is the same as applying a uniform permutation to the stub vector.
     """
     stubs = np.repeat(np.arange(1, n + 1), degrees)
     perm = rng.permutation(stubs.shape[0])
@@ -486,8 +484,7 @@ def sample_delta_multigraph(n: int, m: int, delta: WeightSpec, rng: np.random.Ge
     """Conditioned degree-weighted sampler: P(G) = weight(G)/total on (n,m).
 
     Draws n Boltzmann degrees conditioned on summing to exactly 2m
-    (``_conditioned_degrees``), then pairs half-edges uniformly
-    (``_assemble_multigraph``, which returns a multigraph ``Host``).
+    (``_conditioned_degrees``), then pairs half-edges uniformly.
     """
     if not feasible_degree_sum(delta, n, 2 * m):
         raise ValueError(f"2m = {2*m} is not a sum of {n} support elements")
@@ -504,7 +501,7 @@ def sample_configuration(
     the degrees conditioned on summing to exactly 2m, as
     ``sample_delta_multigraph`` does (``_conditioned_degrees``).  Half-edge
     pairing is uniform, so with pi = pi_x the output law equals the
-    Boltzmann sampler's law.  Returns a multigraph ``Host``.
+    Boltzmann sampler's law.
     """
     if m is None:
         if n % 2 and not pi.tail_mass and (np.flatnonzero(pi.probs) % 2).all():
