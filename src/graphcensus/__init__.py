@@ -4,8 +4,9 @@ graphs and multigraphs.
 Layers:
   graphs       (multi)graph model, isomorphism, copy counting, balance
   series       truncated multivariate power series over exact rationals
-  oracle       exhaustive ground truth at tiny sizes, patchwork series
-  census       exact counting formulas, each one finite coefficient sum
+  oracle       exhaustive ground truth at tiny sizes (the test instrument)
+  census       exact counting formulas, each one finite coefficient sum;
+               patchworks built by gluing copies
   models       degree weights, tuning, Boltzmann/configuration samplers
   predictors   closed-form asymptotics (thresholds, Poisson laws, power law)
   experiments  Monte Carlo harness, reports, scaling fits

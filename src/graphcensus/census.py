@@ -19,20 +19,30 @@ coefficients.  The three building blocks:
   Miller's recurrence (Knuth, TAOCP 2, 4.7) gives for r = Delta / x^{d_min}:
   q = r^k has q_0 = r_0^k, q_s = sum_{i=1..s} ((k+1) i - s) r_i q_{s-i} / (s r_0);
 
-* exact t-copy counts -- inclusion-exclusion over patchworks: substitute
-  u -> u - 1 into the patchwork series and read off [u^t], using
-  [u^t] (u-1)^k = binom(k,t) (-1)^{k-t}.
+* exact t-copy counts -- inclusion-exclusion over patchworks, the unions of
+  copies of F.  The binomial moment B_k, the sum over hosts of
+  binom(#copies, k), is the u^k part of the patchwork series times the same
+  host factors; substituting u -> u - 1 and reading off [u^t] gives
+  N_t = sum_k binom(k,t) (-1)^{k-t} B_k.  The patchwork classes are built
+  from F by gluing on one copy at a time and keeping one graph per canonical
+  form (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998),
+  so no host is enumerated.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
-from .graphs import Graph, as_family, aut_count
+import numpy as np
+
+from .graphs import Graph, SizeCapError, as_family, aut_count, canonical_form, glue, subgraph_copies
 from .models import WeightSpec
-from .oracle import patchwork_series
+
+PATCHWORK_CLASS_CAP = 5_000  # patchwork classes built per request
+PATCHWORK_ELEMENT_CAP = 20  # edges plus edgeless vertices of one class: 2^20 subset sums
 
 
 def _check_size(n: int, m: int) -> None:
@@ -165,21 +175,105 @@ def expected_count(n: int, m: int, family: Graph | Iterable[Graph], delta: Weigh
     return dist / total
 
 
+def _cover_counts(h: Graph, f: Graph) -> list[int]:
+    """p_k(h) for k = 0..: the number of k-sets of distinct copies of f in h
+    that cover every vertex and edge of h.
+
+    The elements are h's edges and its edgeless vertices (an edge brings its
+    ends along).  By inclusion-exclusion over the elements left uncovered,
+    p_k = sum_T (-1)^{|E - T|} binom(c(T), k), where c(T) counts the copies
+    inside the element set T; c comes from subset sums over the copies' masks.
+    """
+    edges = range(1, h.m + 1) if h.kind == "multigraph" else sorted(h.edges)
+    lone = [v for v, d in enumerate(h.degrees(), start=1) if d == 0]
+    bit = {x: 1 << i for i, x in enumerate(edges)}
+    vbit = {v: 1 << (h.m + i) for i, v in enumerate(lone)}
+    size = h.m + len(lone)
+    if size > PATCHWORK_ELEMENT_CAP:
+        raise SizeCapError(f"a patchwork with more than {PATCHWORK_ELEMENT_CAP} edges and edgeless vertices")
+    masks = [sum(bit[e] for e in c.edge_part) + sum(vbit.get(v, 0) for v in c.vertices)
+             for c in subgraph_copies(h, f)]
+    inside = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << size).reshape((2,) * size)
+    for axis in range(size):
+        inside = np.cumsum(inside, axis=axis)
+    inside = inside.ravel()
+    odd = np.bitwise_count(np.arange(1 << size) ^ ((1 << size) - 1)) % 2 == 1
+    signed = np.bincount(inside[~odd], minlength=len(masks) + 1) - np.bincount(inside[odd], minlength=len(masks) + 1)
+    return [sum(int(a) * math.comb(c, k) for c, a in enumerate(signed) if a) for k in range(len(masks) + 1)]
+
+
+@lru_cache(maxsize=64)
+def patchwork_series(f: Graph, n_max: int, m_max: int, kind: str) -> tuple[tuple[Graph, tuple[Fraction, ...]], ...]:
+    """The patchwork classes of f with at most n_max vertices and m_max edges.
+
+    A patchwork is a set of k distinct copies of f whose union is all of its
+    graph.  Each class H comes with its weights w_k(H) = p_k(H) / aut(H),
+    k = 0.. (see ``_cover_counts``), the coefficients of u^k z^n(H) w^m(H)
+    in the patchwork series.  The classes are built from f by ``glue``, one
+    copy at a time, so every union of copies within the caps is reached
+    through smaller ones; a glued graph equal to one already seen, or with a
+    canonical form already seen (its parent's included), is dropped.  More
+    than PATCHWORK_CLASS_CAP classes raise ``SizeCapError`` as soon as they
+    are found.  The empty patchwork (k = 0) is left to the caller.
+    """
+    _family(f, kind)
+    if not 0 < f.n <= n_max or f.m > m_max:
+        return ()
+    classes = {canonical_form(f): f}
+    todo, seen = [f], {f}
+    while todo:
+        h = todo.pop()
+        for g in glue(h, f, n_max, m_max):
+            if g in seen:
+                continue
+            seen.add(g)
+            key = canonical_form(g)
+            if key in classes:
+                continue
+            if len(classes) == PATCHWORK_CLASS_CAP:
+                raise SizeCapError(f"more than {PATCHWORK_CLASS_CAP} patchwork classes within ({n_max}, {m_max})")
+            classes[key] = g
+            todo.append(g)
+    return tuple((h, tuple(Fraction(p, aut) for p in _cover_counts(h, f)))
+                 for h in classes.values() for aut in [aut_count(h)])
+
+
+def binomial_moments(n: int, m: int, f: Graph, k_max: int | None = None, kind: str = "multigraph") -> list[Fraction]:
+    """B_0..B_{k_max}, B_k = sum over (n,m) hosts of binom(#copies of f, k).
+
+    B_k = sum_H w_k(H) _hosts(n, m, n(H), m(H)) over the patchwork classes;
+    B_0 is the host total.  A patchwork of k copies has at most k n(f)
+    vertices and k m(f) edges, so only those are built.  With k_max None,
+    every class within (n, m) is built and every nonzero moment returned.
+    """
+    _check_size(n, m)
+    if k_max is None:
+        series = patchwork_series(f, n, m, kind)
+        k_max = max((len(w) - 1 for _, w in series), default=0)
+    elif k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got k_max={k_max}")
+    else:
+        series = patchwork_series(f, min(n, k_max * f.n), min(m, k_max * f.m), kind)
+    moments = [Fraction(_hosts(n, m, 0, 0, kind))] + [Fraction(0)] * k_max
+    for h, weights in series:
+        hosts = _hosts(n, m, h.n, h.m, kind)
+        for k, w in enumerate(weights[1 : k_max + 1], start=1):
+            moments[k] += w * hosts
+    return moments
+
+
 def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigraph") -> Fraction:
     """Number of (n,m) hosts containing exactly t copies of f.
 
-    Patchwork inclusion-exclusion: substitute u -> u-1 in the patchwork
-    series and extract [u^t] of the distinguished-patchwork total: the sum
-    over patchwork monomials c u^k w^b z^a of c binom(k,t) (-1)^{k-t} _hosts(n, m, a, b).
+    Patchwork inclusion-exclusion over the binomial moments:
+    N_t = sum_{k >= t} (-1)^{k-t} binom(k, t) B_k.
     """
     _check_size(n, m)
     if t < 0:
         raise ValueError(f"copy count t must be nonnegative, got t={t}")
     _family(f, kind)
-    coeffs = patchwork_series(f, n_max=n, m_max=m, kind=kind).series.coeffs  # keyed (u, w, z)
-    terms = (c * math.comb(k, t) * (-1) ** (k - t) * _hosts(n, m, a, b, kind)
-             for (k, b, a), c in coeffs.items() if k >= t)
-    return sum(terms, Fraction(0))
+    moments = binomial_moments(n, m, f, kind=kind)
+    return sum((math.comb(k, t) * (-1) ** (k - t) * b for k, b in enumerate(moments) if k >= t), Fraction(0))
 
 
 def f_free_count(n: int, m: int, f: Graph, kind: str = "multigraph") -> Fraction:

@@ -62,6 +62,8 @@ def _cmd_exact(args):
         args.error("--delta weights multigraphs only; it cannot be used with --kind simple")
     if args.delta is not None and args.t is not None:
         args.error("--t counts uniform hosts; it cannot be used with --delta")
+    if args.t is not None and args.family is None:
+        args.error("--t counts copies of a pattern; it needs --family")
     delta = _parse_delta(args.delta)
     fam = _parse_shape(args.family, kind) if args.family else None
     if args.t is not None:

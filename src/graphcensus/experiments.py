@@ -37,7 +37,7 @@ from .graphs import (  # noqa: F401
     Graph,
     Host,
     Multigraph,
-    is_isomorphic,
+    canonical_form,
     shape,
     subgraph_count,
     vertex_automorphisms,
@@ -101,7 +101,7 @@ def _spasm(name: str, kind: str) -> tuple:
     classes = f.pair_multiplicities()  # (a, b) -> k; loops as (a, a)
     expansions = [[(j, s) for j, s in enumerate(stirling1_signed(k)) if s] for k in classes.values()]
     terms = list(product(*expansions))  # one term per exponent j of each class
-    basis: list[list] = []  # [coefficient, quotient Multigraph, q, edges]
+    basis: dict[tuple, list] = {}  # canonical form -> [coefficient, quotient Multigraph, q, edges]
     for blocks in _set_partitions(f.n):
         if any(a != b and blocks[a - 1] == blocks[b - 1] for a, b in classes):
             continue
@@ -114,14 +114,9 @@ def _spasm(name: str, kind: str) -> tuple:
             coef = moebius * math.prod(s for _, s in term)
             edges = tuple((x, y, k) for (x, y), k in sorted(merged.items()))
             quotient = Multigraph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
-            for c in basis:
-                if is_isomorphic(c[1], quotient):
-                    c[0] += coef
-                    break
-            else:
-                basis.append([coef, quotient, len(sizes), edges])
+            basis.setdefault(canonical_form(quotient), [0, quotient, len(sizes), edges])[0] += coef
     divisor = vertex_automorphisms(f) * math.prod(math.factorial(k) for k in classes.values())
-    return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis if coef)
+    return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis.values() if coef)
 
 
 def _oriented(factor, N: int, first: bool):

@@ -431,115 +431,6 @@ def _adjacency(g: Graph):
     return adj, loops
 
 
-def _wl_colors_pair(g_adj, g_loops, gn, h_adj, h_loops, hn):
-    """Joint neighborhood refinement of two graphs over one shared palette.
-
-    Color ids are therefore comparable across the two graphs: isomorphic
-    vertices always receive the same id.
-    """
-    palette: dict = {}
-
-    def canon(value):
-        if value not in palette:
-            palette[value] = len(palette)
-        return palette[value]
-
-    g_col = {
-        v: canon((sum(g_adj[v].values()) + 2 * g_loops[v], g_loops[v]))
-        for v in range(1, gn + 1)
-    }
-    h_col = {
-        v: canon((sum(h_adj[v].values()) + 2 * h_loops[v], h_loops[v]))
-        for v in range(1, hn + 1)
-    }
-    for _ in range(max(gn, hn)):
-        before = len(set(g_col.values()) | set(h_col.values()))
-        g_col = {
-            v: canon(
-                (g_col[v], tuple(sorted((g_col[u], k) for u, k in g_adj[v].items())))
-            )
-            for v in range(1, gn + 1)
-        }
-        h_col = {
-            v: canon(
-                (h_col[v], tuple(sorted((h_col[u], k) for u, k in h_adj[v].items())))
-            )
-            for v in range(1, hn + 1)
-        }
-        if len(set(g_col.values()) | set(h_col.values())) == before:
-            break
-    return g_col, h_col
-
-
-def _match(g: Graph, h: Graph, count_all: bool) -> int:
-    """Backtracking vertex-bijection search between g and h.
-
-    Returns the number of structure-preserving bijections found (stopping at
-    the first one unless ``count_all``).  Multiplicities and loops must match
-    exactly, which is the flip-insensitive multigraph isomorphism.
-    """
-    if g.n != h.n or g.m != h.m:
-        return 0
-    g_adj, g_loops = _adjacency(g)
-    h_adj, h_loops = _adjacency(h)
-    g_col, h_col = _wl_colors_pair(g_adj, g_loops, g.n, h_adj, h_loops, h.n)
-    g_hist = sorted(g_col.values())
-    if g_hist != sorted(h_col.values()):
-        return 0
-
-    # order g's vertices: smallest color class first, then stay connected
-    class_size: dict[int, int] = {}
-    for c in g_col.values():
-        class_size[c] = class_size.get(c, 0) + 1
-    order: list[int] = []
-    remaining = set(range(1, g.n + 1))
-    while remaining:
-        anchored = [v for v in remaining if any(u in order for u in g_adj[v])]
-        pool = anchored if anchored else remaining
-        v = min(pool, key=lambda v: (class_size[g_col[v]], v))
-        order.append(v)
-        remaining.remove(v)
-
-    by_color: dict[int, list[int]] = {}
-    for v in range(1, h.n + 1):
-        by_color.setdefault(h_col[v], []).append(v)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    found = 0
-
-    def backtrack(i: int) -> bool:
-        nonlocal found
-        if i == len(order):
-            found += 1
-            return not count_all
-        gv = order[i]
-        for hv in by_color.get(g_col[gv], ()):
-            if hv in used:
-                continue
-            if g_loops[gv] != h_loops[hv]:
-                continue
-            if len(g_adj[gv]) != len(h_adj[hv]):
-                continue
-            ok = True
-            for nb, k in g_adj[gv].items():
-                if nb in mapping and h_adj[hv].get(mapping[nb], 0) != k:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[gv] = hv
-            used.add(hv)
-            if backtrack(i + 1):
-                return True
-            del mapping[gv]
-            used.remove(hv)
-        return False
-
-    backtrack(0)
-    return found
-
-
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Label-independent isomorphism; kinds must match.
 
@@ -548,20 +439,72 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     """
     if g.kind != h.kind:
         raise TypeError("cannot compare a multigraph with a simple graph")
-    if g.n != h.n or g.m != h.m:
+    if g.n != h.n or g.m != h.m or sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    if sorted(g.pair_multiplicities().values()) != sorted(
-        h.pair_multiplicities().values()
-    ):
-        return False
-    return _match(g, h, count_all=False) > 0
+    return canonical_form(g) == canonical_form(h)
+
+
+def _search(g: Graph) -> tuple[tuple, int]:
+    """(canonical pair list, number of vertex automorphisms) of g.
+
+    Colour refinement splits the vertices by loops and by the colours and
+    multiplicities of their neighbours.  While a cell has several vertices,
+    each of them in turn is given a colour of its own and the colours
+    refined again (McKay's individualisation-refinement).  A leaf, where
+    every colour is one vertex, gives the pair list relabeled by colour; the
+    least one is the key, and the leaves giving it are the automorphisms.
+    Of twins in a cell (their swap is an automorphism) one is searched and
+    counted for all.
+    """
+    mult = g.pair_multiplicities()
+    adj: list[dict[int, int]] = [{} for _ in range(g.n + 1)]
+    for (u, v), c in mult.items():
+        adj[u][v] = adj[v][u] = c
+    vertices = range(1, g.n + 1)
+
+    def twins(v: int, w: int) -> bool:
+        return adj[v].get(v) == adj[w].get(w) and all(
+            adj[v].get(u) == adj[w].get(u) for u in adj[v].keys() | adj[w].keys() if u not in (v, w))
+
+    def search(col: list[int]) -> tuple[tuple, int]:
+        while True:
+            sig = [(col[v], adj[v].get(v, 0), tuple(sorted((col[u], c) for u, c in adj[v].items() if u != v)))
+                   for v in vertices]
+            ranks = {x: i for i, x in enumerate(sorted(set(sig)))}
+            stable = len(ranks) == len(set(col[1:]))
+            col = [0] + [ranks[x] for x in sig]
+            if stable:
+                break
+        cells: dict[int, list[int]] = {}
+        for v in vertices:
+            cells.setdefault(col[v], []).append(v)
+        split = [vs for c, vs in sorted(cells.items()) if len(vs) > 1]
+        if not split:
+            return tuple(sorted((min(col[u], col[v]), max(col[u], col[v]), c) for (u, v), c in mult.items())), 1
+        stands_for: dict[int, int] = {}
+        for v in split[0]:
+            w = next((w for w in stands_for if twins(v, w)), v)
+            stands_for[w] = stands_for.get(w, 0) + 1
+        best, count = None, 0
+        for v, times in stands_for.items():
+            key, found = search([2 * c - (u == v) for u, c in enumerate(col)])
+            if best is None or key < best:
+                best, count = key, 0
+            if key == best:
+                count += found * times
+        return best, count
+
+    return search([0] * (g.n + 1))
+
+
+def canonical_form(g: Graph) -> tuple:
+    """A key equal for two graphs of one kind exactly when they are isomorphic."""
+    return g.n, _search(g)[0]
 
 
 def vertex_automorphisms(g: Graph) -> int:
     """Number of vertex bijections preserving the unordered multiplicity map."""
-    return _match(g, g, count_all=True)
+    return _search(g)[1]
 
 
 def aut_count(g: Graph) -> int:
@@ -778,7 +721,7 @@ def subgraph_copies(g: Graph, f: Graph) -> set[Subgraph]:
 
 
 # ---------------------------------------------------------------------------
-# pair family (unions of two overlapping copies)
+# gluing copies: the pair family and the patchwork step
 
 
 def is_connected(g: Graph) -> bool:
@@ -796,71 +739,60 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.n
 
 
-def pair_family(f: Multigraph) -> list[Multigraph]:
-    """Isomorphism classes of unions of two distinct overlapping copies of f.
+def glue(h: Graph, f: Graph, n_max: int | None = None, m_max: int | None = None) -> Iterable[Graph]:
+    """Every union of h with one more copy of f, any equal to h included.
 
-    The first copy is f itself; the second is glued along every partial
-    vertex identification (at least one shared vertex), with every consistent
-    choice of how many of its edges merge onto parallel classes of the first
-    copy.  Unions where the two copies coincide are excluded.
+    The copy's vertices are identified with any s distinct vertices of h
+    (s = 0 gives the disjoint union) and the rest are new, labeled after
+    h's.  Where a pair of the copy lands on a pair of h carrying c_H edges,
+    r of its c_F edges reuse edges already there: every r <= min(c_H, c_F)
+    for multigraphs, r = 1 for simple graphs.  Unions with more than n_max
+    vertices or m_max edges are skipped.  Isomorphic unions are not merged.
     """
+    if h.kind != f.kind:
+        raise TypeError("cannot glue graphs of different kinds")
+    base = h.pair_multiplicities()
+    f_pairs = list(f.pair_multiplicities().items())
+    simple = h.kind == "simple"
+    least_reuse = f.m - (m_max - h.m) if m_max is not None else 0  # fewest reused edges within m_max
+    for s in range(0, min(h.n, f.n) + 1):
+        n = h.n + f.n - s
+        if n_max is not None and n > n_max:
+            continue
+        for dom in combinations(range(1, f.n + 1), s):
+            if sum(c for (a, b), c in f_pairs if a in dom and b in dom) < least_reuse:
+                continue
+            fresh = {v: h.n + i for i, v in enumerate((v for v in range(1, f.n + 1) if v not in dom), start=1)}
+            for img in permutations(range(1, h.n + 1), s):
+                place = dict(zip(dom, img)) | fresh
+                pairs = [(tuple(sorted((place[a], place[b]))), c) for (a, b), c in f_pairs]
+                reuse = [range(1) if key not in base else range(1, 2) if simple else range(min(c, base[key]) + 1)
+                         for key, c in pairs]
+                for rs in product(*reuse):
+                    if sum(rs) < least_reuse:
+                        continue
+                    mult = dict(base)
+                    for (key, c), r in zip(pairs, rs):
+                        mult[key] = mult.get(key, 0) + c - r
+                    if simple:
+                        yield SimpleGraph(n, mult.keys())
+                    else:
+                        yield Multigraph(n, [x for (u, v), c in sorted(mult.items()) for x in (u, v) * c])
+
+
+def pair_family(f: Multigraph) -> list[Multigraph]:
+    """Isomorphism classes of unions of two distinct overlapping copies of f:
+    the connected results of ``glue(f, f)`` other than f itself, each class
+    represented by the first of its unions that ``glue`` yields."""
     if not isinstance(f, Multigraph):
         raise TypeError("pair_family expects a multigraph pattern")
     if not is_connected(f):
         raise ValueError("pair_family requires a connected pattern")
-    k = f.n
-    base_mult = f.pair_multiplicities()
-    f_pairs = list(base_mult.items())
-    reps: list[Multigraph] = []
-
-    def add_class(g: Multigraph):
-        for rep in reps:
-            if rep.n == g.n and rep.m == g.m and is_isomorphic(rep, g):
-                return
-        reps.append(g)
-
-    for s in range(1, k + 1):
-        for dom in combinations(range(1, k + 1), s):
-            for img in permutations(range(1, k + 1), s):
-                sigma = dict(zip(dom, img))
-                # classify second-copy pairs: shared pairs may merge edges
-                shared: list[tuple[tuple[int, int], int, int]] = []
-                fresh_pairs: list[tuple[tuple[int, int], int]] = []
-                fresh_vertex: dict[int, int] = {}
-                next_label = k + 1
-                for v in range(1, k + 1):
-                    if v not in sigma:
-                        fresh_vertex[v] = next_label
-                        next_label += 1
-                for (a, b), mult in f_pairs:
-                    if a in sigma and b in sigma:
-                        u, v = sigma[a], sigma[b]
-                        key = (u, v) if u <= v else (v, u)
-                        cap = base_mult.get(key, 0)
-                        shared.append((key, mult, min(cap, mult)))
-                    else:
-                        u = sigma.get(a, fresh_vertex.get(a))
-                        v = sigma.get(b, fresh_vertex.get(b))
-                        key = (u, v) if u <= v else (v, u)
-                        fresh_pairs.append((key, mult))
-                ranges = [range(cap + 1) for (_, _, cap) in shared]
-                for merges in product(*ranges):
-                    total_second = f.m
-                    merged = sum(merges)
-                    if s == k and merged == total_second:
-                        continue  # second copy identical to the first
-                    mult_union: dict[tuple[int, int], int] = dict(base_mult)
-                    for (key, mult, _), r in zip(shared, merges):
-                        mult_union[key] = mult_union.get(key, 0) + (mult - r)
-                    for key, mult in fresh_pairs:
-                        mult_union[key] = mult_union.get(key, 0) + mult
-                    n_union = next_label - 1
-                    seq: list[int] = []
-                    for (u, v), c in sorted(mult_union.items()):
-                        for _ in range(c):
-                            seq.extend((u, v))
-                    add_class(Multigraph(n_union, seq))
-    return reps
+    reps: dict[tuple, Multigraph] = {}
+    for g in glue(f, f):
+        if g.m > f.m and is_connected(g):
+            reps.setdefault(canonical_form(g), g)
+    return list(reps.values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Enumerates every canonical (multi)graph of a given size, tallies exact copy
 count distributions (optionally degree-weighted), and computes the patchwork
 generating function straight from its definition.  Everything here is a test
-instrument: exact, loud on caps, and deliberately unoptimized.
+instrument: exact, loud on caps, and deliberately unoptimized.  Its
+``patchwork_series`` is the reference for ``census.patchwork_series``, which
+builds the same coefficients by gluing copies and enumerates no host;
+``census`` does not import this module.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import math
@@ -284,6 +285,116 @@ def test_bad_arguments_fail_loudly():
         C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.power_law(2.5))
     with pytest.raises(ZeroDivisionError):
         C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.from_json("finite:0,0,1"))
+
+
+# ---------------------------------------------------------------------------
+# Patchworks built by gluing copies, checked against the oracle's series,
+# which enumerates every host.
+
+SIMPLE_NAMES = ("edge", "p3", "p4", "c3", "c4", "c5", "c6", "c7", "c8", "k4", "k13")
+ODD_PATTERNS = [
+    G.Multigraph(3, (1, 2)),  # an edge and an isolated vertex
+    G.Multigraph(4, (1, 2, 3, 4)),  # two disjoint edges
+    G.Multigraph(2, (1, 1, 2, 2)),  # two disjoint loops
+    G.SimpleGraph(3, [(1, 2)]),
+]
+
+
+def _constructed_coeffs(f, n, m, kind):
+    """The patchwork series keyed (u, w, z), as the oracle keys it."""
+    coeffs = {(0, 0, 0): Fraction(1)}
+    for h, weights in C.patchwork_series(f, n, m, kind):
+        for k, w in enumerate(weights):
+            if w:
+                coeffs[k, h.m, h.n] = coeffs.get((k, h.m, h.n), 0) + w
+    return coeffs
+
+
+def test_constructed_patchworks_equal_the_oracle_series():
+    # each size holds every smaller one; past these the oracle enumerates
+    # more than 2 * 10^4 multigraph hosts.  A shape too large for all of
+    # them is checked at one, where its only patchwork is the empty one.
+    cases = []
+    for f in map(G.shape, MULTI_NAMES):
+        sizes = [(n, m) for n, m in ((4, 3), (3, 4), (5, 2)) if f.n <= n and f.m <= m]
+        cases += [(f, size) for size in sizes or [(5, 2)]]
+    cases += [(G.shape(p, "simple"), (5, 4)) for p in SIMPLE_NAMES]
+    cases += [(f, (4, 3) if f.kind == "multigraph" else (5, 4)) for f in ODD_PATTERNS]
+    for f, (n, m) in cases:
+        want = {key: c for key, c in O.patchwork_series(f, n, m, kind=f.kind).series.coeffs.items() if c}
+        assert _constructed_coeffs(f, n, m, f.kind) == want, (f, n, m)
+
+
+def test_binomial_moments():
+    for n, m in ((3, 3), (4, 3), (12, 9)):
+        for p in ("loop", "edge", "p3", "c3"):
+            b = C.binomial_moments(n, m, G.shape(p), 1)
+            assert b == [C.mg_total(n, m), C.mg_distinguished(n, m, G.shape(p))], (p, n, m)
+        for p in ("edge", "p3", "c3", "c4"):
+            b = C.binomial_moments(n, m, G.shape(p, "simple"), 1, kind="simple")
+            assert b == [C.sg_total(n, m), C.sg_distinguished(n, m, G.shape(p, "simple"))], (p, n, m)
+    for f, (n, m) in [(G.shape(p), (3, 3)) for p in ("loop", "edge", "double-edge", "p3", "c3")] + [
+            (G.shape(p, "simple"), (5, 4)) for p in ("edge", "p3", "c3", "k13")] + [(ODD_PATTERNS[0], (3, 3))]:
+        dist = O.oracle_distribution(n, m, f, kind=f.kind)
+        want = sum((math.comb(t, 2) * w for t, w in dist.by_t.items()), Fraction(0))
+        assert C.binomial_moments(n, m, f, 2, kind=f.kind)[2] == want, (f, n, m)
+    assert C.binomial_moments(4, 3, G.loop(), 0) == [C.mg_total(4, 3)]
+    # every moment: loops in (4, 3) hosts are binomial(3, 1/4)
+    assert C.binomial_moments(4, 3, G.loop()) == [math.comb(3, k) * 4**k * 16 ** (3 - k) for k in range(4)]
+    with pytest.raises(ValueError, match="k_max=-1"):
+        C.binomial_moments(4, 3, G.loop(), -1)
+
+
+def test_slices_past_the_oracle_cap_sum_to_the_census():
+    n, m = 8, 8
+    for p in ("loop", "c3"):
+        f = G.shape(p)
+        slices = [C.count_with_exactly_t(n, m, f, t) for t in range(math.comb(m, 3) + 2)]
+        assert slices[-1] == 0
+        assert sum(slices) == n ** (2 * m)
+        assert sum(t * x for t, x in enumerate(slices)) == n ** (2 * m) * C.expected_count(n, m, f)
+    # loops: each edge is a loop in n of its n^2 end pairs
+    assert [C.count_with_exactly_t(n, m, G.loop(), t) for t in range(m + 1)] == [
+        math.comb(m, t) * n**t * (n * n - n) ** (m - t) for t in range(m + 1)]
+
+
+def test_patchwork_class_budget(monkeypatch):
+    C.patchwork_series.cache_clear()
+    with pytest.raises(G.SizeCapError, match="more than 20 edges"):
+        C.patchwork_series(G.loop(), 1, 21, "multigraph")  # one class has 21 loops
+    monkeypatch.setattr(C, "PATCHWORK_CLASS_CAP", 10)
+    with pytest.raises(G.SizeCapError, match="more than 10 patchwork classes"):
+        C.patchwork_series(G.edge_multi(), 6, 6, "multigraph")
+    assert len(C.patchwork_series(G.loop(), 3, 2, "multigraph")) == 3  # one loop, two apart, two together
+    assert C.patchwork_series.cache_info().currsize == 1
+    C.patchwork_series.cache_clear()
+    with pytest.raises(ValueError, match="a simple host count needs simple patterns"):
+        C.patchwork_series(G.loop(), 3, 3, "simple")
+
+
+def test_census_does_not_import_the_oracle():
+    tree = ast.parse(Path(C.__file__).read_text())
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert imported and not [name for name in imported if "oracle" in name]
+    assert "patchwork_series" in vars(C)
+
+
+def test_pair_family_classes_are_unchanged():
+    # class counts of the pair family before it was rebuilt on glue
+    counts = {"loop": 1, "edge": 2, "double-edge": 3, "p3": 13, "c3": 6, "c4": 18, "c5": 54, "k13": 21}
+    for p, count in counts.items():
+        f = G.shape(p)
+        members = G.pair_family(f)
+        assert len(members) == count, p
+        forms = {G.canonical_form(h) for h in members}
+        assert len(forms) == count
+        if f.n > 4:
+            continue
+        # the connected two-piece patchworks other than f itself
+        two = {G.canonical_form(h) for h, w in C.patchwork_series(f, 2 * f.n, 2 * f.m, "multigraph")
+               if len(w) > 2 and w[2] and G.is_connected(h) and h.m > f.m}
+        assert forms == two, p
 
 
 def _load_bench(name, monkeypatch):

@@ -87,6 +87,17 @@ def test_exact_refuses_delta_with_t(capsys):
     assert "--t" in err and "--delta" in err
 
 
+def test_exact_t_needs_a_family(capsys):
+    err = _usage_error(capsys, "exact", "--n", "3", "--m", "2", "--t", "1")
+    assert "--t" in err and "--family" in err
+
+
+def test_exact_t_past_the_oracle_cap(capsys):
+    # hosts with exactly one loop among 5 edges on 6 vertices: 5 * 6 * (6^2 - 6)^4
+    out = run_cli(capsys, "exact", "--n", "6", "--m", "5", "--family", "loop", "--t", "1")
+    assert json.loads(out) == {"value_numerator": str(5 * 6 * 30**4), "value_denominator": "1"}
+
+
 def test_exact_refuses_delta_with_simple_kind(capsys):
     # a weighted total is a multigraph total (3480 here), not a simple one
     err = _usage_error(capsys, "exact", "--kind", "simple", "--n", "4", "--m", "3", "--delta", "finite:1,1,1,1")

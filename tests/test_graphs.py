@@ -4,8 +4,10 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,3 +276,72 @@ def test_host_on_a_huge_label_range_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("n, ends", [
+    (4, [1, 1, 2, 2, 3, 3, 3, 3]),  # loops only: no non-loop pair
+    (7, [1, 2, 1, 3, 1, 3, 4, 1, 1, 5, 6, 1, 1, 7, 1, 7, 1, 7, 2, 3, 5, 5]),  # a hub
+    (6, []),
+    (2, [1, 2] * 40),  # 40 parallel edges: 40^12 needs more than 53 bits
+])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_power_sum_is_exact(n, ends, dtype):
+    host = G.Host(n, ends)
+    mult = host.to_graph().pair_multiplicities()
+    for k in (1, 2, 12):
+        if dtype is np.int64 and host.max_degree**k >= 2**63:
+            continue
+        want = [0] * (n + 1)
+        for (a, b), c in mult.items():
+            if a != b:
+                want[a] += c**k
+                want[b] += c**k
+        got = host.power_sum(k, dtype)
+        assert got.dtype == np.dtype(dtype) and got.tolist() == want
+        assert all(type(x) is int for x in got.tolist())
+
+
+def test_glue_covers_every_identification_and_reuse():
+    unions = list(G.glue(G.edge_multi(), G.edge_multi()))
+    # disjoint, one shared end (2 x 2 ways), both ends in either order with 0 or 1 edge reused
+    assert sorted((g.n, g.m) for g in unions) == [(2, 1), (2, 1), (2, 2), (2, 2), (3, 2), (3, 2), (3, 2), (3, 2), (4, 2)]
+    assert G.edge_multi() in unions
+    simple = list(G.glue(G.edge_simple(), G.edge_simple()))
+    assert sorted((g.n, g.m) for g in simple) == [(2, 1), (2, 1), (3, 2), (3, 2), (3, 2), (3, 2), (4, 2)]
+    assert list(G.glue(G.cycle_multi(3), G.loop(), n_max=3, m_max=3)) == []
+    with pytest.raises(TypeError):
+        list(G.glue(G.loop(), G.edge_simple()))
+
+
+def _relabeled(g, perm):
+    return tuple(sorted((min(perm[u - 1], perm[v - 1]), max(perm[u - 1], perm[v - 1]), c)
+                        for (u, v), c in g.pair_multiplicities().items()))
+
+
+def test_canonical_form_and_automorphisms_match_brute_force():
+    # reference: every vertex permutation of every small graph
+    graphs = [G.Multigraph(n, seq) for n in range(0, 5) for m in range(0, 4 if n < 4 else 3)
+              for seq in product(range(1, n + 1), repeat=2 * m)]
+    graphs += [G.SimpleGraph(5, chosen) for m in (4, 5) for chosen in combinations(combinations(range(1, 6), 2), m)]
+    forms: dict = {}
+    for g in graphs:
+        perms = list(permutations(range(1, g.n + 1)))
+        images = [_relabeled(g, perm) for perm in perms]
+        assert G.vertex_automorphisms(g) == images.count(_relabeled(g, range(1, g.n + 1))), g
+        forms.setdefault((g.kind, g.n, min(images)), set()).add(G.canonical_form(g))
+    assert all(len(found) == 1 for found in forms.values())
+    for kind in ("multigraph", "simple"):
+        keys = [next(iter(found)) for (k, _, _), found in forms.items() if k == kind]
+        assert len(set(keys)) == len(keys)
+    c6 = G.cycle_multi(6)
+    two_triangles = G.Multigraph(6, (1, 2, 2, 3, 3, 1, 4, 5, 5, 6, 6, 4))
+    assert G.canonical_form(c6) != G.canonical_form(two_triangles)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_canonical_form_invariant_under_relabeling(n, m, rnd):
+    seq = [rnd.randint(1, n) for _ in range(2 * m)]
+    perm = list(range(1, n + 1))
+    rnd.shuffle(perm)
+    assert G.canonical_form(G.Multigraph(n, seq)) == G.canonical_form(G.Multigraph(n, [perm[v - 1] for v in seq]))
