@@ -76,7 +76,7 @@ def test_isomorphism_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 5), st.randoms(use_true_random=False))
+@given(st.integers(1, 7), st.integers(0, 8), st.randoms(use_true_random=False))
 def test_isomorphism_invariant_under_relabeling(n, m, rnd):
     seq = [rnd.randint(1, n) for _ in range(2 * m)]
     g = G.Multigraph(n, seq)
@@ -336,12 +336,3 @@ def test_canonical_form_and_automorphisms_match_brute_force():
     c6 = G.cycle_multi(6)
     two_triangles = G.Multigraph(6, (1, 2, 2, 3, 3, 1, 4, 5, 5, 6, 6, 4))
     assert G.canonical_form(c6) != G.canonical_form(two_triangles)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 8), st.randoms(use_true_random=False))
-def test_canonical_form_invariant_under_relabeling(n, m, rnd):
-    seq = [rnd.randint(1, n) for _ in range(2 * m)]
-    perm = list(range(1, n + 1))
-    rnd.shuffle(perm)
-    assert G.canonical_form(G.Multigraph(n, seq)) == G.canonical_form(G.Multigraph(n, [perm[v - 1] for v in seq]))
