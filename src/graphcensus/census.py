@@ -15,9 +15,14 @@ coefficients.  The three building blocks:
 * degree-weighted totals -- the half-edge construction gives the weighted
   host count (2m)! [x^{2m}] Delta(x)^n, and a distinguished copy turns each
   degree mark y_d into the series Delta^(d)(x).  As [z^k] e^{z Delta} =
-  Delta^k / k!, a piece needs Delta^{n-a} on x^0..x^{2m} only, which J. C. P.
-  Miller's recurrence (Knuth, TAOCP 2, 4.7) gives for r = Delta / x^{d_min}:
-  q = r^k has q_0 = r_0^k, q_s = sum_{i=1..s} ((k+1) i - s) r_i q_{s-i} / (s r_0);
+  Delta^k / k!, a piece needs Delta^{n-a} on x^0..x^{2m} only.  All of it is
+  exact integer arithmetic on exponential coefficients s! [x^s], with the
+  weights scaled by the lcm of their own denominators (1 for every builtin
+  kind): J. C. P. Miller's power recurrence (Knuth, TAOCP 2, 4.7), read off
+  Delta (Delta^k)' = k Delta' Delta^k at x^s / s!, divides exactly at each
+  step, and the degree marks and the closing product are binomial
+  convolutions, so no factorial scaling and no fraction appears before the
+  final division;
 
 * exact t-copy counts -- inclusion-exclusion over patchworks, the unions of
   copies of F.  The binomial moment B_k, the sum over hosts of
@@ -102,36 +107,49 @@ def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fractio
     return sum((Fraction(_hosts(n, m, f.n, f.m, "simple"), aut_count(f)) for f in shapes), Fraction(0))
 
 
-def _power(r: list[Fraction], k: int, cap: int) -> list[Fraction]:
-    """x^0..x^cap of (sum_i r_i x^i)^k, by Miller's recurrence after shifting out x^lo."""
-    out = [Fraction(0)] * (cap + 1)
-    lo = next((d for d, c in enumerate(r) if c), cap + 1)
-    if lo > cap or k * lo > cap:
-        out[0] = Fraction(int(k == 0))
+def _power(e: list[int], k: int, cap: int) -> list[int]:
+    """Q_s = s! [x^s] E(x)^k for s = 0..cap, E = sum_d e_d x^d / d! with integers e_d.
+
+    Miller's recurrence in exponential coefficients: E (E^k)' = k E' E^k read
+    at x^t / t!, t = s + lo, with lo the lowest degree and r_j = e_{lo+j}, gives
+    r_0 (C(t, lo) - k C(t, lo-1)) Q_{s+1} = sum_j r_j (k C(t, lo+j-1) - C(t, lo+j)) Q_{s+1-j},
+    where C(t, lo) - k C(t, lo-1) = C(t, lo) (s+1 - k lo) / (s+1) is nonzero for
+    s >= k lo, and the division is exact, since Q_{s+1} is an integer.
+    """
+    out = [0] * (cap + 1)
+    lo = next((d for d, c in enumerate(e) if c), cap + 1)
+    if k == 0 or k * lo > cap:
+        out[0] = int(k == 0)
         return out
-    r = r[lo:]
-    support = [(i, c) for i, c in enumerate(r) if i and c]
-    q = [r[0] ** k]
-    for s in range(1, cap - k * lo + 1):
-        q.append(sum(((k + 1) * i - s) * c * q[s - i] for i, c in support if i <= s) / (s * r[0]))
-    out[k * lo :] = q
+    r, start = e[lo:], k * lo
+    support = [(j, c) for j, c in enumerate(r) if j and c]
+    out[start] = math.factorial(start) // math.factorial(lo) ** k * r[0] ** k
+    for s in range(start, cap):
+        t = s + lo
+        num = sum(c * (k * math.comb(t, lo + j - 1) - math.comb(t, lo + j)) * out[s + 1 - j]
+                  for j, c in support if j <= s + 1 - start)
+        out[s + 1] = num * (s + 1) // (r[0] * math.comb(t, lo) * (s + 1 - start))
     return out
 
 
 def _weighted_hosts(n: int, m: int, delta: WeightSpec, a: int, b: int, degrees: tuple[int, ...]) -> Fraction:
     """Weighted _hosts for a piece with these vertex degrees, with j = m - b:
-    (n)_a (m)_b 2^b (2j)! [x^{2j}] prod_v Delta^(d_v)(x) Delta(x)^{n-a}."""
+    (n)_a (m)_b 2^b (2j)! [x^{2j}] prod_v Delta^(d_v)(x) Delta(x)^{n-a}, on the weights
+    e_d = delta_d lcm(denominators): a mark Delta^(d) is e shifted by d, and the
+    n factors of Delta leave one division by lcm^n at the end."""
     if a > n or b > m:
         return Fraction(0)
-    poly, cap = delta.egf_poly(2 * m), 2 * (m - b)
-    egf = [poly.extract({"x": d}) for d in range(2 * m + 1)]
-    marks = [Fraction(1)] + [Fraction(0)] * cap  # prod_v Delta^(d_v) up to x^cap
+    weights = [delta.delta(d) for d in range(2 * m + 1)]
+    scale = math.lcm(*(w.denominator for w in weights))
+    e = [w.numerator * (scale // w.denominator) for w in weights]
+    cap = 2 * (m - b)
+    marks = [1] + [0] * cap  # prod_v Delta^(d_v) up to x^cap
     for d in degrees:
-        deriv = [(i, egf[i + d] * math.perm(i + d, d)) for i in range(cap + 1) if egf[i + d]]
-        marks = [sum((c * marks[s - i] for i, c in deriv if i <= s), Fraction(0)) for s in range(cap + 1)]
-    power = _power(egf, n - a, cap)
-    coeff = sum((c * power[cap - i] for i, c in enumerate(marks) if c), Fraction(0))
-    return coeff * math.perm(n, a) * math.perm(m, b) * 2**b * math.factorial(cap)
+        deriv = [(i, e[i + d]) for i in range(cap + 1) if e[i + d]]
+        marks = [sum(math.comb(s, i) * c * marks[s - i] for i, c in deriv if i <= s) for s in range(cap + 1)]
+    power = _power(e, n - a, cap)
+    coeff = sum(math.comb(cap, i) * c * power[cap - i] for i, c in enumerate(marks) if c)
+    return Fraction(coeff * math.perm(n, a) * math.perm(m, b) * 2**b, scale**n)
 
 
 def mg_weighted_total(n: int, m: int, delta: WeightSpec) -> Fraction:
@@ -247,11 +265,17 @@ def binomial_moments(n: int, m: int, f: Graph, k_max: int | None = None, kind: s
     every class within (n, m) is built and every nonzero moment returned.
     """
     _check_size(n, m)
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got k_max={k_max}")
+    return list(_moments(n, m, f, k_max, kind))
+
+
+@lru_cache(maxsize=64)
+def _moments(n: int, m: int, f: Graph, k_max: int | None, kind: str) -> tuple[Fraction, ...]:
+    """``binomial_moments`` as a tuple, kept so that every t-slice reads one vector."""
     if k_max is None:
         series = patchwork_series(f, n, m, kind)
         k_max = max((len(w) - 1 for _, w in series), default=0)
-    elif k_max < 0:
-        raise ValueError(f"k_max must be nonnegative, got k_max={k_max}")
     else:
         series = patchwork_series(f, min(n, k_max * f.n), min(m, k_max * f.m), kind)
     moments = [Fraction(_hosts(n, m, 0, 0, kind))] + [Fraction(0)] * k_max
@@ -259,7 +283,7 @@ def binomial_moments(n: int, m: int, f: Graph, k_max: int | None = None, kind: s
         hosts = _hosts(n, m, h.n, h.m, kind)
         for k, w in enumerate(weights[1 : k_max + 1], start=1):
             moments[k] += w * hosts
-    return moments
+    return tuple(moments)
 
 
 def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigraph") -> Fraction:
@@ -272,7 +296,7 @@ def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigra
     if t < 0:
         raise ValueError(f"copy count t must be nonnegative, got t={t}")
     _family(f, kind)
-    moments = binomial_moments(n, m, f, kind=kind)
+    moments = _moments(n, m, f, None, kind)
     return sum((math.comb(k, t) * (-1) ** (k - t) * b for k, b in enumerate(moments) if k >= t), Fraction(0))
 
 

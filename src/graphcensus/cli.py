@@ -65,6 +65,8 @@ def _cmd_exact(args):
     if args.t is not None and args.family is None:
         args.error("--t counts copies of a pattern; it needs --family")
     delta = _parse_delta(args.delta)
+    if delta is not None and delta.kind == "powerlaw":
+        args.error("exact --delta needs rational weights; power-law weights are not rational")
     fam = _parse_shape(args.family, kind) if args.family else None
     if args.t is not None:
         value = census.count_with_exactly_t(args.n, args.m, fam, args.t, kind=kind)
@@ -78,7 +80,11 @@ def _cmd_exact(args):
                 else census.sg_total(args.n, args.m)
             )
     elif args.expected:
-        value = census.expected_count(args.n, args.m, fam, delta=delta, kind=kind)
+        try:
+            value = census.expected_count(args.n, args.m, fam, delta=delta, kind=kind)
+        except ZeroDivisionError:
+            args.error(f"--expected needs a nonzero host total, but no degree sequence of "
+                       f"{args.n} vertices allowed by the weights reaches 2m = {2 * args.m}")
     elif delta is not None:
         value = census.mg_distinguished_weighted(args.n, args.m, delta, fam)
     elif kind == "multigraph":

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -507,6 +508,7 @@ def vertex_automorphisms(g: Graph) -> int:
     return _search(g)[1]
 
 
+@lru_cache(maxsize=1024)  # graphs are immutable values; callers ask for the same few patterns
 def aut_count(g: Graph) -> int:
     """Size of the stabilizer of g in the full relabeling group.
 

@@ -287,6 +287,25 @@ def test_bad_arguments_fail_loudly():
         C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.from_json("finite:0,0,1"))
 
 
+
+def test_weighted_closed_forms_past_the_series_sizes():
+    # exp: Delta = e^x, so every weight is 1 and the uniform census returns
+    exp, cosh, quadratic = (WeightSpec.from_json(w) for w in ("exp", "cosh", "finite:0,0,1"))
+    for n, m in ((40, 30), (80, 60)):
+        assert C.mg_weighted_total(n, m, exp) == n ** (2 * m)
+        for p in MULTI_NAMES:
+            f = G.shape(p)
+            assert C.mg_distinguished_weighted(n, m, exp, f) == C.mg_distinguished(n, m, f), (p, n, m)
+    # cosh^n = 2^-n sum_j binom(n, j) e^{(n - 2j) x}
+    for n, m in ((1, 1), (5, 4), (40, 30), (80, 60)):
+        want = Fraction(sum(math.comb(n, j) * (n - 2 * j) ** (2 * m) for j in range(n + 1)), 2**n)
+        assert C.mg_weighted_total(n, m, cosh) == want, (n, m)
+    # (x^2 / 2)^n: every degree is 2, so only m = n has hosts, (2n)! / 2^n of them
+    for n in (1, 2, 5, 17, 40):
+        for m in (n - 1, n, n + 1, 2 * n):
+            want = Fraction(math.factorial(2 * n), 2**n) if m == n else 0
+            assert C.mg_weighted_total(n, m, quadratic) == want, (n, m)
+
 # ---------------------------------------------------------------------------
 # Patchworks built by gluing copies, checked against the oracle's series,
 # which enumerates every host.
