@@ -305,6 +305,10 @@ def test_weighted_closed_forms_past_the_series_sizes():
         for m in (n - 1, n, n + 1, 2 * n):
             want = Fraction(math.factorial(2 * n), 2**n) if m == n else 0
             assert C.mg_weighted_total(n, m, quadratic) == want, (n, m)
+    # (x + x^2 / 2)^n = x^n (1 + x / 2)^n: the lowest degree is 1 and the recurrence has terms
+    for n, m in ((40, 30), (80, 60), (80, 41), (80, 81)):
+        want = Fraction(math.factorial(2 * m) * math.comb(n, 2 * m - n), 2 ** (2 * m - n)) if 2 * m >= n else 0
+        assert C.mg_weighted_total(n, m, WeightSpec.from_json("finite:0,1,1")) == want, (n, m)
 
 # ---------------------------------------------------------------------------
 # Patchworks built by gluing copies, checked against the oracle's series,
