@@ -287,9 +287,8 @@ def test_bad_arguments_fail_loudly():
         C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.from_json("finite:0,0,1"))
 
 
-
 def test_weighted_closed_forms_past_the_series_sizes():
-    # exp: Delta = e^x, so every weight is 1 and the uniform census returns
+    # exp: Delta = e^x, every weight is 1, so the weighted census is the uniform one
     exp, cosh, quadratic = (WeightSpec.from_json(w) for w in ("exp", "cosh", "finite:0,0,1"))
     for n, m in ((40, 30), (80, 60)):
         assert C.mg_weighted_total(n, m, exp) == n ** (2 * m)
@@ -309,6 +308,7 @@ def test_weighted_closed_forms_past_the_series_sizes():
     for n, m in ((40, 30), (80, 60), (80, 41), (80, 81)):
         want = Fraction(math.factorial(2 * m) * math.comb(n, 2 * m - n), 2 ** (2 * m - n)) if 2 * m >= n else 0
         assert C.mg_weighted_total(n, m, WeightSpec.from_json("finite:0,1,1")) == want, (n, m)
+
 
 # ---------------------------------------------------------------------------
 # Patchworks built by gluing copies, checked against the oracle's series,

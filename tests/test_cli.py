@@ -104,7 +104,6 @@ def test_exact_refuses_delta_with_simple_kind(capsys):
     assert "--delta" in err and "--kind simple" in err
 
 
-
 def test_exact_refuses_power_law_weights(capsys):
     # exact answers need rational weights; delta_d = d! d^-beta is not
     err = _usage_error(capsys, "exact", "--n", "3", "--m", "2", "--family", "c3", "--delta", "powerlaw:2.5",
@@ -117,6 +116,7 @@ def test_exact_expected_needs_a_reachable_degree_sum(capsys):
     err = _usage_error(capsys, "exact", "--n", "3", "--m", "2", "--family", "c3", "--delta", "finite:0,0,1",
                        "--expected")
     assert "no degree sequence" in err and "2m = 4" in err
+
 
 def test_predict_verb(capsys):
     out = run_cli(capsys, "predict", "--theorem", "lambda-simple", "--shape", "c3", "--c", "1/2")
