@@ -3,19 +3,21 @@
 All results are exact rationals.  Each answer is one coefficient of a
 product of generating functions, computed as a sum over the monomials of the
 family (or patchwork) series times the other factors' closed-form
-coefficients.  The three building blocks:
+coefficients.  The building blocks:
 
-* distinguished totals -- a host with one distinguished copy from a family
-  factors as (family EGF) x (set of extra vertices) x (set of extra edges),
-  so the count is a single coefficient of F(z,w) e^z e^{n^2 w/2} for
-  multigraphs, respectively F(z, w/(1+w)) e^z (1+w)^binom(n,2) for simple
-  graphs.  A piece z^a w^b of F contributes (n)_a (m)_b 2^b n^{2(m-b)} for
-  multigraphs, respectively (n)_a binom(binom(n,2) - b, m - b) for simple graphs;
+* ``total``, ``distinguished`` and ``expected_count`` (their ratio) -- a host
+  with one distinguished copy from a family factors as (family EGF) x (set of
+  extra vertices) x (set of extra edges), and only the edge factor depends on
+  the model: e^{n^2 w/2} for multigraphs, (1+w)^binom(n,2) for simple graphs
+  (after w -> w/(1+w) in F), and half-edges marked by Delta(x) under degree
+  weights.  One host factor, ``_host_counts``, gives the coefficient for a
+  piece z^a w^b of F: (n)_a (m)_b 2^b n^{2(m-b)} for multigraphs, respectively
+  (n)_a binom(binom(n,2) - b, m - b) for simple graphs;
 
-* degree-weighted totals -- the half-edge construction gives the weighted
-  host count (2m)! [x^{2m}] Delta(x)^n, and a distinguished copy turns each
-  degree mark y_d into the series Delta^(d)(x).  As [z^k] e^{z Delta} =
-  Delta^k / k!, a piece needs Delta^{n-a} on x^0..x^{2m} only.  All of it is
+* degree weights -- the half-edge construction gives the weighted host count
+  (2m)! [x^{2m}] Delta(x)^n, and a distinguished copy turns each degree mark
+  y_d into the series Delta^(d)(x).  As [z^k] e^{z Delta} = Delta^k / k!, a
+  piece needs Delta^{n-a} on x^0..x^{2m} only.  All of it is
   exact integer arithmetic on exponential coefficients s! [x^s], with the
   weights scaled by the lcm of their own denominators (1 for every builtin
   kind): J. C. P. Miller's power recurrence (Knuth, TAOCP 2, 4.7), read off
@@ -50,61 +52,12 @@ PATCHWORK_CLASS_CAP = 5_000  # patchwork classes built per request
 PATCHWORK_ELEMENT_CAP = 20  # edges plus edgeless vertices of one class: 2^20 subset sums
 
 
-def _check_size(n: int, m: int) -> None:
-    if n < 0 or m < 0:
-        raise ValueError(f"n and m must be nonnegative, got n={n}, m={m}")
-
-
-def mg_total(n: int, m: int) -> int:
-    """Number of canonical (n,m)-multigraphs: n^(2m)."""
-    _check_size(n, m)
-    return n ** (2 * m)
-
-
-def sg_total(n: int, m: int) -> int:
-    """Number of canonical simple (n,m)-graphs: binom(binom(n,2), m)."""
-    _check_size(n, m)
-    return math.comb(math.comb(n, 2), m)
-
-
 def _family(family: Graph | Iterable[Graph], kind: str) -> list[Graph]:
     """The family as a list, every member of the host's kind."""
     shapes = as_family(family)
     if any(f.kind != kind for f in shapes):
         raise ValueError(f"a {kind} host count needs {kind} patterns")
     return shapes
-
-
-def _hosts(n: int, m: int, a: int, b: int, kind: str) -> int:
-    """n! 2^m m! [z^n w^m] z^a w^b e^z e^{n^2 w/2} (multigraph), respectively
-    n! [z^n w^m] z^a (w/(1+w))^b e^z (1+w)^binom(n,2) (simple)."""
-    if a > n or b > m:
-        return 0
-    if kind == "multigraph":
-        return math.perm(n, a) * math.perm(m, b) * 2**b * n ** (2 * (m - b))
-    return math.perm(n, a) * math.comb(math.comb(n, 2) - b, m - b)
-
-
-def mg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fraction:
-    """Total number of (n,m)-multigraphs with one distinguished family copy.
-
-    n! 2^m m! [z^n w^m] F(z,w) e^z e^{n^2 w / 2}
-    = sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} n^{2(m - m_F)} / aut F.
-    """
-    _check_size(n, m)
-    shapes = _family(family, "multigraph")
-    return sum((Fraction(_hosts(n, m, f.n, f.m, "multigraph"), aut_count(f)) for f in shapes), Fraction(0))
-
-
-def sg_distinguished(n: int, m: int, family: Graph | Iterable[Graph]) -> Fraction:
-    """Total number of simple (n,m)-graphs with one distinguished family copy.
-
-    n! [z^n w^m] F(z, w/(1+w)) e^z (1+w)^binom(n,2)
-    = sum_F (n)_{n_F} binom(binom(n,2) - m_F, m - m_F) / aut F.
-    """
-    _check_size(n, m)
-    shapes = _family(family, "simple")
-    return sum((Fraction(_hosts(n, m, f.n, f.m, "simple"), aut_count(f)) for f in shapes), Fraction(0))
 
 
 def _power(e: list[int], k: int, cap: int) -> list[int]:
@@ -132,65 +85,81 @@ def _power(e: list[int], k: int, cap: int) -> list[int]:
     return out
 
 
-def _weighted_hosts(n: int, m: int, delta: WeightSpec, a: int, b: int, degrees: tuple[int, ...]) -> Fraction:
-    """Weighted _hosts for a piece with these vertex degrees, with j = m - b:
-    (n)_a (m)_b 2^b (2j)! [x^{2j}] prod_v Delta^(d_v)(x) Delta(x)^{n-a}, on the weights
-    e_d = delta_d lcm(denominators): a mark Delta^(d) is e shifted by d, and the
-    n factors of Delta leave one division by lcm^n at the end."""
-    if a > n or b > m:
-        return Fraction(0)
-    weights = [delta.delta(d) for d in range(2 * m + 1)]
-    scale = math.lcm(*(w.denominator for w in weights))
-    e = [w.numerator * (scale // w.denominator) for w in weights]
-    cap = 2 * (m - b)
-    marks = [1] + [0] * cap  # prod_v Delta^(d_v) up to x^cap
-    for d in degrees:
-        deriv = [(i, e[i + d]) for i in range(cap + 1) if e[i + d]]
-        marks = [sum(math.comb(s, i) * c * marks[s - i] for i, c in deriv if i <= s) for s in range(cap + 1)]
-    power = _power(e, n - a, cap)
-    coeff = sum(math.comb(cap, i) * c * power[cap - i] for i, c in enumerate(marks) if c)
-    return Fraction(coeff * math.perm(n, a) * math.perm(m, b) * 2**b, scale**n)
+def _host_counts(n: int, m: int, kind: str, delta: WeightSpec | None):
+    """hosts(a, b, degrees): the number of (n,m) hosts -- their total weight
+    under ``delta`` -- around a piece z^a w^b with these vertex degrees.
 
-
-def mg_weighted_total(n: int, m: int, delta: WeightSpec) -> Fraction:
-    """Total weight of (n,m)-multigraphs: (2m)! [x^{2m}] Delta(x)^n."""
-    _check_size(n, m)
-    return _weighted_hosts(n, m, delta, 0, 0, ())
-
-
-def mg_distinguished_weighted(n: int, m: int, delta: WeightSpec, family: Graph | Iterable[Graph]) -> Fraction:
-    """Total weight of (n,m,Delta)-multigraphs with one distinguished copy.
-
-    n! 2^m m! [z^n w^m] sum_j (2j)! [x^{2j}] F(z, w, dbar Delta(x))
-    e^{z Delta(x)} w^j / (2^j j!), where the degree mark y_d receives the
-    series Delta^(d)(x).  Only j = m - m_F survives for a shape F, so this is
-    sum_F (n)_{n_F} (m)_{m_F} 2^{m_F} (2j)! [x^{2j}] prod_v Delta^(d_v) Delta^{n-n_F} / aut F.
+    n! 2^m m! [z^n w^m] z^a w^b e^z e^{n^2 w/2} = (n)_a (m)_b 2^b n^{2(m-b)}
+    for multigraphs, n! [z^n w^m] z^a (w/(1+w))^b e^z (1+w)^binom(n,2)
+    = (n)_a binom(binom(n,2) - b, m - b) for simple graphs, and with weights,
+    j = m - b, (n)_a (m)_b 2^b (2j)! [x^{2j}] prod_v Delta^(d_v)(x) Delta(x)^{n-a}
+    on the weights e_d = delta_d lcm(denominators): a mark Delta^(d) is e
+    shifted by d, and the n factors of Delta leave one division by lcm^n at
+    the end.  Only weights read the degrees; hosts(0, 0, ()) is the host total.
     """
-    _check_size(n, m)
-    shapes = _family(family, "multigraph")
-    return sum((_weighted_hosts(n, m, delta, f.n, f.m, f.degrees()) / aut_count(f) for f in shapes), Fraction(0))
+    if n < 0 or m < 0:
+        raise ValueError(f"n and m must be nonnegative, got n={n}, m={m}")
+    if kind not in ("multigraph", "simple"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if delta is not None:
+        if kind != "multigraph":
+            raise ValueError("degree weights are implemented for multigraphs")
+        weights = [delta.delta(d) for d in range(2 * m + 1)]
+        scale = math.lcm(*(w.denominator for w in weights))
+        e = [w.numerator * (scale // w.denominator) for w in weights]
+
+    def hosts(a: int, b: int, degrees: tuple[int, ...]) -> int | Fraction:
+        if a > n or b > m:
+            return 0
+        if delta is None:
+            if kind == "multigraph":
+                return math.perm(n, a) * math.perm(m, b) * 2**b * n ** (2 * (m - b))
+            return math.perm(n, a) * math.comb(math.comb(n, 2) - b, m - b)
+        cap = 2 * (m - b)
+        marks = [1] + [0] * cap  # prod_v Delta^(d_v) up to x^cap
+        for d in degrees:
+            deriv = [(i, e[i + d]) for i in range(cap + 1) if e[i + d]]
+            marks = [sum(math.comb(s, i) * c * marks[s - i] for i, c in deriv if i <= s) for s in range(cap + 1)]
+        power = _power(e, n - a, cap)
+        coeff = sum(math.comb(cap, i) * c * power[cap - i] for i, c in enumerate(marks) if c)
+        return Fraction(coeff * math.perm(n, a) * math.perm(m, b) * 2**b, scale**n)
+
+    return hosts
+
+
+def _distinguished(hosts, family: Graph | Iterable[Graph], kind: str) -> Fraction:
+    return sum((Fraction(hosts(f.n, f.m, f.degrees()), aut_count(f)) for f in _family(family, kind)), Fraction(0))
+
+
+def total(n: int, m: int, *, kind: str = "multigraph", delta: WeightSpec | None = None) -> Fraction:
+    """Number of (n,m) hosts: n^(2m) multigraphs, binom(binom(n,2), m) simple
+    graphs, or under degree weights their total weight (2m)! [x^{2m}] Delta(x)^n."""
+    return Fraction(_host_counts(n, m, kind, delta)(0, 0, ()))
+
+
+def distinguished(n: int, m: int, family: Graph | Iterable[Graph], *, kind: str = "multigraph",
+                  delta: WeightSpec | None = None) -> Fraction:
+    """Number (or total weight) of (n,m) hosts with one distinguished family copy.
+
+    The host factors as (family EGF) x (extra vertices) x (extra edges), so
+    this is sum_F hosts(n_F, m_F, degrees of F) / aut F (see ``_host_counts``).
+    Under degree weights it is n! 2^m m! [z^n w^m] sum_j (2j)! [x^{2j}]
+    F(z, w, dbar Delta(x)) e^{z Delta(x)} w^j / (2^j j!), where the degree mark
+    y_d receives the series Delta^(d)(x) and only j = m - m_F survives for F.
+    """
+    return _distinguished(_host_counts(n, m, kind, delta), family, kind)
 
 
 def expected_count(n: int, m: int, family: Graph | Iterable[Graph], delta: WeightSpec | None = None,
                    kind: str = "multigraph") -> Fraction:
-    """Expected number of family copies in a random (n,m[,Delta])-(multi)graph."""
-    if kind == "multigraph":
-        if delta is None:
-            total = Fraction(mg_total(n, m))
-            dist = mg_distinguished(n, m, family)
-        else:
-            total = mg_weighted_total(n, m, delta)
-            dist = mg_distinguished_weighted(n, m, delta, family)
-    elif kind == "simple":
-        if delta is not None:
-            raise ValueError("degree weights are implemented for multigraphs")
-        total = Fraction(sg_total(n, m))
-        dist = sg_distinguished(n, m, family)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if total == 0:
+    """Expected number of family copies in a random (n,m[,Delta])-(multi)graph:
+    ``distinguished`` over ``total``."""
+    hosts = _host_counts(n, m, kind, delta)
+    whole = hosts(0, 0, ())
+    dist = _distinguished(hosts, family, kind)
+    if whole == 0:
         raise ZeroDivisionError("total weight is zero")
-    return dist / total
+    return dist / whole
 
 
 def _cover_counts(h: Graph, f: Graph) -> list[int]:
@@ -259,12 +228,12 @@ def patchwork_series(f: Graph, n_max: int, m_max: int, kind: str) -> tuple[tuple
 def binomial_moments(n: int, m: int, f: Graph, k_max: int | None = None, kind: str = "multigraph") -> list[Fraction]:
     """B_0..B_{k_max}, B_k = sum over (n,m) hosts of binom(#copies of f, k).
 
-    B_k = sum_H w_k(H) _hosts(n, m, n(H), m(H)) over the patchwork classes;
+    B_k = sum_H w_k(H) hosts(n(H), m(H)) over the patchwork classes (see
+    ``_host_counts``);
     B_0 is the host total.  A patchwork of k copies has at most k n(f)
     vertices and k m(f) edges, so only those are built.  With k_max None,
     every class within (n, m) is built and every nonzero moment returned.
     """
-    _check_size(n, m)
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got k_max={k_max}")
     return list(_moments(n, m, f, k_max, kind))
@@ -273,16 +242,17 @@ def binomial_moments(n: int, m: int, f: Graph, k_max: int | None = None, kind: s
 @lru_cache(maxsize=64)
 def _moments(n: int, m: int, f: Graph, k_max: int | None, kind: str) -> tuple[Fraction, ...]:
     """``binomial_moments`` as a tuple, kept so that every t-slice reads one vector."""
+    hosts = _host_counts(n, m, kind, None)
     if k_max is None:
         series = patchwork_series(f, n, m, kind)
         k_max = max((len(w) - 1 for _, w in series), default=0)
     else:
         series = patchwork_series(f, min(n, k_max * f.n), min(m, k_max * f.m), kind)
-    moments = [Fraction(_hosts(n, m, 0, 0, kind))] + [Fraction(0)] * k_max
+    moments = [Fraction(hosts(0, 0, ()))] + [Fraction(0)] * k_max
     for h, weights in series:
-        hosts = _hosts(n, m, h.n, h.m, kind)
+        count = hosts(h.n, h.m, ())
         for k, w in enumerate(weights[1 : k_max + 1], start=1):
-            moments[k] += w * hosts
+            moments[k] += w * count
     return tuple(moments)
 
 
@@ -292,14 +262,8 @@ def count_with_exactly_t(n: int, m: int, f: Graph, t: int, kind: str = "multigra
     Patchwork inclusion-exclusion over the binomial moments:
     N_t = sum_{k >= t} (-1)^{k-t} binom(k, t) B_k.
     """
-    _check_size(n, m)
     if t < 0:
         raise ValueError(f"copy count t must be nonnegative, got t={t}")
     _family(f, kind)
     moments = _moments(n, m, f, None, kind)
     return sum((math.comb(k, t) * (-1) ** (k - t) * b for k, b in enumerate(moments) if k >= t), Fraction(0))
-
-
-def f_free_count(n: int, m: int, f: Graph, kind: str = "multigraph") -> Fraction:
-    """Number of (n,m) hosts with no copy of f (the t = 0 slice)."""
-    return count_with_exactly_t(n, m, f, 0, kind=kind)

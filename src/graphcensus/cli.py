@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import census, experiments, oracle, predictors
 from .graphs import graph_from_json, graph_to_json, shape
@@ -51,8 +50,11 @@ def _emit(data, out: str | None):
 
 def _cmd_oracle(args):
     kind = "multigraph" if args.kind == "multi" else "simple"
-    fam = _parse_shape(args.family, kind)
-    dist = oracle.oracle_distribution(args.n, args.m, fam, delta=_parse_delta(args.delta), kind=kind)
+    try:
+        fam = _parse_shape(args.family, kind)
+        dist = oracle.oracle_distribution(args.n, args.m, fam, delta=_parse_delta(args.delta), kind=kind)
+    except ValueError as exc:
+        args.error(str(exc))
     _emit(dist.to_json(), args.out)
 
 
@@ -64,34 +66,22 @@ def _cmd_exact(args):
         args.error("--t counts uniform hosts; it cannot be used with --delta")
     if args.t is not None and args.family is None:
         args.error("--t counts copies of a pattern; it needs --family")
-    delta = _parse_delta(args.delta)
-    if delta is not None and delta.kind == "powerlaw":
-        args.error("exact --delta needs rational weights; power-law weights are not rational")
-    fam = _parse_shape(args.family, kind) if args.family else None
-    if args.t is not None:
-        value = census.count_with_exactly_t(args.n, args.m, fam, args.t, kind=kind)
-    elif fam is None:
-        if delta is not None:
-            value = census.mg_weighted_total(args.n, args.m, delta)
-        else:
-            value = Fraction(
-                census.mg_total(args.n, args.m)
-                if kind == "multigraph"
-                else census.sg_total(args.n, args.m)
-            )
-    elif args.expected:
-        try:
+    try:
+        delta = _parse_delta(args.delta)
+        fam = _parse_shape(args.family, kind) if args.family else None
+        if args.t is not None:
+            value = census.count_with_exactly_t(args.n, args.m, fam, args.t, kind=kind)
+        elif fam is None:
+            value = census.total(args.n, args.m, kind=kind, delta=delta)
+        elif args.expected:
             value = census.expected_count(args.n, args.m, fam, delta=delta, kind=kind)
-        except ZeroDivisionError:
-            args.error(f"--expected needs a nonzero host total, but no degree sequence of "
-                       f"{args.n} vertices allowed by the weights reaches 2m = {2 * args.m}")
-    elif delta is not None:
-        value = census.mg_distinguished_weighted(args.n, args.m, delta, fam)
-    elif kind == "multigraph":
-        value = census.mg_distinguished(args.n, args.m, fam)
-    else:
-        value = census.sg_distinguished(args.n, args.m, fam)
-    value = Fraction(value)
+        else:
+            value = census.distinguished(args.n, args.m, fam, kind=kind, delta=delta)
+    except ZeroDivisionError:
+        args.error(f"--expected needs a nonzero host total, but no degree sequence of "
+                   f"{args.n} vertices allowed by the weights reaches 2m = {2 * args.m}")
+    except ValueError as exc:
+        args.error(str(exc))
     _emit(
         {"value_numerator": str(value.numerator), "value_denominator": str(value.denominator)},
         args.out,
@@ -162,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="builtin shape name or graph JSON")
     p.add_argument("--delta", help="weight spec (finite:..., exp, cosh, powerlaw:b or JSON)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, error=p.error)
 
     p = sub.add_parser("exact", help="exact counting formulas")
     p.add_argument("--kind", choices=["multi", "simple"], default="multi")

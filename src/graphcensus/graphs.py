@@ -829,14 +829,17 @@ def graph_to_json(g: Graph) -> str:
 
 def graph_from_json(text: str | dict) -> Graph:
     data = json.loads(text) if isinstance(text, str) else text
-    kind = data["kind"]
+    try:
+        kind, n, edges = data["kind"], data["n"], data["edges"]
+    except (KeyError, TypeError):
+        raise ValueError('graph JSON needs "kind", "n" and "edges"') from None
     if kind == "multigraph":
         seq: list[int] = []
-        for u, v in data["edges"]:
+        for u, v in edges:
             seq.extend((u, v))
-        return Multigraph(data["n"], seq)
+        return Multigraph(n, seq)
     if kind == "simple":
-        return SimpleGraph(data["n"], [tuple(e) for e in data["edges"]])
+        return SimpleGraph(n, [tuple(e) for e in edges])
     raise ValueError(f"unknown graph kind {kind!r}")
 
 

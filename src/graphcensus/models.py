@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Host
-from .series import TruncatedSeries
 from .specialfuncs import polylog, stirling1_signed, zeta
 
 REJECTION_CAP = 10**7  # free-m degree vectors drawn before an odd sum is given up on
@@ -95,11 +94,14 @@ class WeightSpec:
             if data.startswith("finite:"):
                 return WeightSpec.finite(data.split(":", 1)[1].split(","))
             raise ValueError(f"unknown weight spec {data!r}")
-        kind = data["kind"]
-        if kind == "finite":
-            return WeightSpec.finite(data["coeffs"])
-        if kind == "powerlaw":
-            return WeightSpec.power_law(float(data["beta"]))
+        try:
+            kind = data["kind"]
+            if kind == "finite":
+                return WeightSpec.finite(data["coeffs"])
+            if kind == "powerlaw":
+                return WeightSpec.power_law(float(data["beta"]))
+        except KeyError as exc:
+            raise ValueError(f"weight spec JSON needs the key {exc}") from None
         return WeightSpec.from_json(kind)
 
     def to_json(self):
@@ -122,15 +124,6 @@ class WeightSpec:
         if self.kind == "sinh1":
             return Fraction(1) if (d == 0 or d % 2 == 1) else Fraction(0)
         raise ValueError("power-law weights are not rational")
-
-    def egf_poly(self, cap: int) -> TruncatedSeries:
-        """Delta(x) truncated at x^cap, exact (coefficient of x^d is delta_d/d!)."""
-        coeffs = {}
-        for d in range(cap + 1):
-            c = self.delta(d)
-            if c:
-                coeffs[(d,)] = Fraction(c, math.factorial(d))
-        return TruncatedSeries(("x",), (cap,), coeffs)
 
     def support_min(self) -> int:
         if self.kind == "finite":
@@ -392,12 +385,6 @@ def sample_uniform_simple(n: int, m: int, rng: np.random.Generator) -> Host:
     v -= v * (v - 1) // 2 > codes
     u = codes - v * (v - 1) // 2
     return Host(n, np.column_stack((u, v)).ravel() + 1, "simple")
-
-
-def boltzmann_degree(delta: WeightSpec, x: float, rng: np.random.Generator) -> int:
-    """One draw with P(d) = delta_d x^d / (Delta(x) d!)."""
-    dist = _cached_distribution(delta, x)
-    return int(dist.sample(rng, 1)[0])
 
 
 def _assemble_multigraph(n: int, degrees: np.ndarray, rng: np.random.Generator) -> Host:

@@ -96,7 +96,11 @@ def oracle_distribution(
     ``delta`` is a WeightSpec with exact rational coefficients (or None for
     the uniform model).
     """
+    if n < 0 or m < 0:
+        raise ValueError(f"n and m must be nonnegative, got n={n}, m={m}")
     shapes = as_family(family)
+    if any(f.kind != kind for f in shapes):
+        raise ValueError(f"a {kind} host count needs {kind} patterns")
     hosts = enumerate_multigraphs(n, m) if kind == "multigraph" else enumerate_simple(n, m)
     dist = CountDistribution(total=Fraction(0))
     for g in hosts:

@@ -46,7 +46,7 @@ def test_criterion_01_distinguished_totals_multigraph():
     for n in (1, 2, 3):
         for m in range(0, 4):
             for name, fam in MULTI_FAMILIES.items():
-                exact = C.mg_distinguished(n, m, fam)
+                exact = C.distinguished(n, m, fam)
                 brute = O.oracle_distribution(n, m, fam).distinguished_total
                 assert exact == brute, (n, m, name, exact, brute)
                 checked += 1
@@ -62,7 +62,7 @@ def test_criterion_02_distinguished_totals_simple():
             if m > math.comb(n, 2):
                 continue
             for name, fam in SIMPLE_FAMILIES.items():
-                exact = C.sg_distinguished(n, m, fam)
+                exact = C.distinguished(n, m, fam, kind="simple")
                 brute = O.oracle_distribution(n, m, fam, kind="simple").distinguished_total
                 assert exact == brute, (n, m, name, exact, brute)
                 checked += 1
@@ -92,13 +92,13 @@ def test_criterion_03_weighted_totals_and_distinguished():
                         w *= spec.delta(d)
                     weights.append(w)
                 total = sum(weights, Fraction(0))
-                assert C.mg_weighted_total(n, m, spec) == total, (n, m, spec.to_json())
+                assert C.total(n, m, delta=spec) == total, (n, m, spec.to_json())
                 checked += 1
                 for name, fam in MULTI_FAMILIES.items():
                     brute = sum(
                         (w * t for w, t in zip(weights, counts[name])), Fraction(0)
                     )
-                    exact = C.mg_distinguished_weighted(n, m, spec, fam)
+                    exact = C.distinguished(n, m, fam, delta=spec)
                     assert exact == brute, (n, m, spec.to_json(), name, exact, brute)
                     checked += 1
     verdict(3, True, f"{checked} exact weighted equalities (3 weight vectors, n<=3, m<=3)")
@@ -324,7 +324,7 @@ def test_criterion_12_series_identities():
                 if h.loop_count() == 0
                 and all(k == 1 for k in h.pair_multiplicities().values())
             )
-            simple = C.sg_total(n, m) if m <= math.comb(n, 2) else 0
+            simple = C.total(n, m, kind="simple") if m <= math.comb(n, 2) else 0
             transfer_ok = transfer_ok and plain == 2**m * math.factorial(m) * simple
 
     verdict(

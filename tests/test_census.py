@@ -17,37 +17,37 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_totals():
-    assert C.mg_total(2, 1) == 4
-    assert C.sg_total(4, 2) == 15
-    assert C.mg_total(3, 0) == 1
+    assert C.total(2, 1) == 4
+    assert C.total(4, 2, kind="simple") == 15
+    assert C.total(3, 0) == 1
 
 
 def test_mg_distinguished_examples():
-    assert C.mg_distinguished(2, 1, G.edge_multi()) == 2
-    assert C.mg_distinguished(3, 3, G.cycle_multi(3)) == 48
-    assert C.mg_distinguished(4, 4, []) == 0
+    assert C.distinguished(2, 1, G.edge_multi()) == 2
+    assert C.distinguished(3, 3, G.cycle_multi(3)) == 48
+    assert C.distinguished(4, 4, []) == 0
 
 
 def test_sg_distinguished_examples():
-    assert C.sg_distinguished(3, 3, G.cycle_simple(3)) == 1
-    assert C.sg_distinguished(4, 3, G.cycle_simple(3)) == 4
-    assert C.sg_distinguished(4, 4, []) == 0
+    assert C.distinguished(3, 3, G.cycle_simple(3), kind="simple") == 1
+    assert C.distinguished(4, 3, G.cycle_simple(3), kind="simple") == 4
+    assert C.distinguished(4, 4, [], kind="simple") == 0
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        C.mg_distinguished(3, 2, [G.edge_multi(), G.Multigraph(2, (2, 1))])
+        C.distinguished(3, 2, [G.edge_multi(), G.Multigraph(2, (2, 1))])
 
 
 def test_family_of_the_wrong_kind_is_refused():
     cubic = WeightSpec.finite([1, 1, 1, 1])
     calls = [
         (lambda: C.expected_count(3, 2, G.loop(), kind="simple"), "simple"),
-        (lambda: C.sg_distinguished(3, 2, G.loop()), "simple"),
-        (lambda: C.sg_distinguished(3, 2, [G.edge_simple(), G.loop()]), "simple"),
-        (lambda: C.mg_distinguished(3, 3, G.cycle_simple(3)), "multigraph"),
+        (lambda: C.distinguished(3, 2, G.loop(), kind="simple"), "simple"),
+        (lambda: C.distinguished(3, 2, [G.edge_simple(), G.loop()], kind="simple"), "simple"),
+        (lambda: C.distinguished(3, 3, G.cycle_simple(3)), "multigraph"),
         (lambda: C.expected_count(3, 3, G.cycle_simple(3)), "multigraph"),
-        (lambda: C.mg_distinguished_weighted(3, 2, cubic, G.path_simple(3)), "multigraph"),
+        (lambda: C.distinguished(3, 2, G.path_simple(3), delta=cubic), "multigraph"),
         (lambda: C.count_with_exactly_t(3, 2, G.loop(), 0, kind="simple"), "simple"),
     ]
     for call, kind in calls:
@@ -56,19 +56,19 @@ def test_family_of_the_wrong_kind_is_refused():
 
 
 def test_weighted_total_examples():
-    assert C.mg_weighted_total(2, 1, WeightSpec.finite([1, 1])) == 2
+    assert C.total(2, 1, delta=WeightSpec.finite([1, 1])) == 2
     for n, m in ((2, 1), (2, 2), (3, 2)):
-        assert C.mg_weighted_total(n, m, WeightSpec.exponential()) == C.mg_total(n, m)
-    assert C.mg_weighted_total(3, 2, WeightSpec.finite([0, 0, 1])) == 0
+        assert C.total(n, m, delta=WeightSpec.exponential()) == C.total(n, m)
+    assert C.total(3, 2, delta=WeightSpec.finite([0, 0, 1])) == 0
 
 
 def test_weighted_distinguished_examples():
     one_x = WeightSpec.finite([1, 1])
-    assert C.mg_distinguished_weighted(2, 1, one_x, G.edge_multi()) == 2
+    assert C.distinguished(2, 1, G.edge_multi(), delta=one_x) == 2
     # a vertex of degree above deg(Delta) kills the term
-    assert C.mg_distinguished_weighted(3, 3, one_x, G.path_multi(3)) == 0
+    assert C.distinguished(3, 3, G.path_multi(3), delta=one_x) == 0
     cubic = WeightSpec.finite([1, 1, 1, 1])
-    got = C.mg_distinguished_weighted(3, 2, cubic, G.path_multi(3))
+    got = C.distinguished(3, 2, G.path_multi(3), delta=cubic)
     brute = O.oracle_distribution(3, 2, G.path_multi(3), delta=cubic).distinguished_total
     assert got == brute
 
@@ -91,22 +91,22 @@ def test_count_with_exactly_t_examples():
 
 
 def test_f_free_examples():
-    assert C.f_free_count(2, 1, G.loop()) == 2
-    assert C.f_free_count(3, 3, G.cycle_simple(3), kind="simple") == 0
+    assert C.count_with_exactly_t(2, 1, G.loop(), 0) == 2
+    assert C.count_with_exactly_t(3, 3, G.cycle_simple(3), 0, kind="simple") == 0
     # hosts on (2,2) without a parallel pair
     by_hand = sum(
         1
         for h in O.enumerate_multigraphs(2, 2)
         if all(k < 2 or u == v for (u, v), k in h.pair_multiplicities().items())
     )
-    assert C.f_free_count(2, 2, G.double_edge()) == by_hand
+    assert C.count_with_exactly_t(2, 2, G.double_edge(), 0) == by_hand
 
 
 def test_asymptotic_sanity_trend():
     # relative error of the distinguished-total asymptotics shrinks with n
     errors = []
     for n in (6, 8, 10, 12):
-        exact = C.mg_distinguished(n, n, G.cycle_multi(3))
+        exact = C.distinguished(n, n, G.cycle_multi(3))
         predicted = Fraction(n ** (2 * n)) * Fraction(4, 3)  # n^2m * F_cls(n, 2/n)
         errors.append(abs(Fraction(exact, 1) / predicted - 1))
     assert errors[0] > errors[1] > errors[2] > errors[3]
@@ -116,7 +116,7 @@ def test_distinguished_weighted_uniform_reduction():
     # exponential weights reproduce the uniform distinguished totals
     for n, m in ((2, 1), (2, 2), (3, 2)):
         for fam in (G.loop(), G.edge_multi(), G.path_multi(3)):
-            assert C.mg_distinguished_weighted(n, m, WeightSpec.exponential(), fam) == C.mg_distinguished(n, m, fam)
+            assert C.distinguished(n, m, fam, delta=WeightSpec.exponential()) == C.distinguished(n, m, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,14 @@ def series_sg_distinguished(n, m, family):
     return coeff * math.factorial(n)
 
 
+def egf_poly(delta, cap):
+    """Delta(x) truncated at x^cap, exact (coefficient of x^d is delta_d/d!)."""
+    coeffs = {(d,): Fraction(delta.delta(d), math.factorial(d)) for d in range(cap + 1) if delta.delta(d)}
+    return TruncatedSeries(("x",), (cap,), coeffs)
+
+
 def series_mg_weighted_total(n, m, delta):
-    poly = delta.egf_poly(2 * m)
+    poly = egf_poly(delta, 2 * m)
     coeff = poly.pow(n).extract({"x": 2 * m})
     return coeff * math.factorial(2 * m)
 
@@ -174,7 +180,7 @@ def series_mg_distinguished_weighted(n, m, delta, family):
         return Fraction(0)
     x_cap = 2 * m
     caps = {"z": n, "w": m, "x": x_cap}
-    delta_poly = delta.egf_poly(x_cap)
+    delta_poly = egf_poly(delta, x_cap)
     # F with each vertex of degree d contributing Delta^(d)(x)
     f_total = TruncatedSeries.zero(("w", "x", "z"), (m, x_cap, n))
     for shape in shapes:
@@ -226,14 +232,14 @@ def test_coefficient_sums_match_series_products():
     weights = [WeightSpec.from_json(w) for w in WEIGHTS]
     for n, m in SIZES:
         for fam in families:
-            assert C.mg_distinguished(n, m, fam) == series_mg_distinguished(n, m, fam), (n, m, fam)
+            assert C.distinguished(n, m, fam) == series_mg_distinguished(n, m, fam), (n, m, fam)
         for fam in simple:
-            assert C.sg_distinguished(n, m, fam) == series_sg_distinguished(n, m, fam), (n, m, fam)
+            assert C.distinguished(n, m, fam, kind="simple") == series_sg_distinguished(n, m, fam), (n, m, fam)
         for delta in weights:
-            assert C.mg_weighted_total(n, m, delta) == series_mg_weighted_total(n, m, delta), (n, m, delta)
+            assert C.total(n, m, delta=delta) == series_mg_weighted_total(n, m, delta), (n, m, delta)
             for fam in families:
                 want = series_mg_distinguished_weighted(n, m, delta, fam)
-                assert C.mg_distinguished_weighted(n, m, delta, fam) == want, (n, m, delta, fam)
+                assert C.distinguished(n, m, fam, delta=delta) == want, (n, m, delta, fam)
     # every t-slice up to past the u-cap of the patchwork series
     cases = [("multigraph", p, n, m) for p in ("loop", "edge", "double-edge", "c3")
              for n, m in ((1, 1), (2, 2), (3, 2), (3, 3), (4, 2))]
@@ -265,22 +271,25 @@ def test_bad_arguments_fail_loudly():
     with pytest.raises(ValueError, match="t=-1"):
         C.count_with_exactly_t(3, 2, loop, -1)
     calls = [
-        lambda n, m: C.mg_total(n, m),
-        lambda n, m: C.sg_total(n, m),
-        lambda n, m: C.mg_distinguished(n, m, loop),
-        lambda n, m: C.sg_distinguished(n, m, G.edge_simple()),
-        lambda n, m: C.mg_weighted_total(n, m, cubic),
-        lambda n, m: C.mg_distinguished_weighted(n, m, cubic, loop),
+        lambda n, m: C.total(n, m),
+        lambda n, m: C.total(n, m, kind="simple"),
+        lambda n, m: C.distinguished(n, m, loop),
+        lambda n, m: C.distinguished(n, m, G.edge_simple(), kind="simple"),
+        lambda n, m: C.total(n, m, delta=cubic),
+        lambda n, m: C.distinguished(n, m, loop, delta=cubic),
         lambda n, m: C.expected_count(n, m, loop),
         lambda n, m: C.expected_count(n, m, loop, delta=cubic),
         lambda n, m: C.expected_count(n, m, G.edge_simple(), kind="simple"),
         lambda n, m: C.count_with_exactly_t(n, m, loop, 0),
-        lambda n, m: C.f_free_count(n, m, loop),
     ]
     for call in calls:
         for n, m in ((-1, 2), (3, -2)):
             with pytest.raises(ValueError, match=f"n={n}, m={m}"):
                 call(n, m)
+    with pytest.raises(ValueError, match="unknown kind"):
+        C.total(3, 2, kind="directed")
+    with pytest.raises(ValueError, match="degree weights are implemented for multigraphs"):
+        C.distinguished(3, 2, G.edge_simple(), kind="simple", delta=cubic)
     with pytest.raises(ValueError, match="not rational"):
         C.expected_count(3, 2, G.cycle_multi(3), delta=WeightSpec.power_law(2.5))
     with pytest.raises(ZeroDivisionError):
@@ -291,23 +300,23 @@ def test_weighted_closed_forms_past_the_series_sizes():
     # exp: Delta = e^x, every weight is 1, so the weighted census is the uniform one
     exp, cosh, quadratic = (WeightSpec.from_json(w) for w in ("exp", "cosh", "finite:0,0,1"))
     for n, m in ((40, 30), (80, 60)):
-        assert C.mg_weighted_total(n, m, exp) == n ** (2 * m)
+        assert C.total(n, m, delta=exp) == n ** (2 * m)
         for p in MULTI_NAMES:
             f = G.shape(p)
-            assert C.mg_distinguished_weighted(n, m, exp, f) == C.mg_distinguished(n, m, f), (p, n, m)
+            assert C.distinguished(n, m, f, delta=exp) == C.distinguished(n, m, f), (p, n, m)
     # cosh^n = 2^-n sum_j binom(n, j) e^{(n - 2j) x}
     for n, m in ((1, 1), (5, 4), (40, 30), (80, 60)):
         want = Fraction(sum(math.comb(n, j) * (n - 2 * j) ** (2 * m) for j in range(n + 1)), 2**n)
-        assert C.mg_weighted_total(n, m, cosh) == want, (n, m)
+        assert C.total(n, m, delta=cosh) == want, (n, m)
     # (x^2 / 2)^n: every degree is 2, so only m = n has hosts, (2n)! / 2^n of them
     for n in (1, 2, 5, 17, 40):
         for m in (n - 1, n, n + 1, 2 * n):
             want = Fraction(math.factorial(2 * n), 2**n) if m == n else 0
-            assert C.mg_weighted_total(n, m, quadratic) == want, (n, m)
+            assert C.total(n, m, delta=quadratic) == want, (n, m)
     # (x + x^2 / 2)^n = x^n (1 + x / 2)^n: the lowest degree is 1 and the recurrence has terms
     for n, m in ((40, 30), (80, 60), (80, 41), (80, 81)):
         want = Fraction(math.factorial(2 * m) * math.comb(n, 2 * m - n), 2 ** (2 * m - n)) if 2 * m >= n else 0
-        assert C.mg_weighted_total(n, m, WeightSpec.from_json("finite:0,1,1")) == want, (n, m)
+        assert C.total(n, m, delta=WeightSpec.from_json("finite:0,1,1")) == want, (n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +361,17 @@ def test_binomial_moments():
     for n, m in ((3, 3), (4, 3), (12, 9)):
         for p in ("loop", "edge", "p3", "c3"):
             b = C.binomial_moments(n, m, G.shape(p), 1)
-            assert b == [C.mg_total(n, m), C.mg_distinguished(n, m, G.shape(p))], (p, n, m)
+            assert b == [C.total(n, m), C.distinguished(n, m, G.shape(p))], (p, n, m)
         for p in ("edge", "p3", "c3", "c4"):
             b = C.binomial_moments(n, m, G.shape(p, "simple"), 1, kind="simple")
-            assert b == [C.sg_total(n, m), C.sg_distinguished(n, m, G.shape(p, "simple"))], (p, n, m)
+            f = G.shape(p, "simple")
+            assert b == [C.total(n, m, kind="simple"), C.distinguished(n, m, f, kind="simple")], (p, n, m)
     for f, (n, m) in [(G.shape(p), (3, 3)) for p in ("loop", "edge", "double-edge", "p3", "c3")] + [
             (G.shape(p, "simple"), (5, 4)) for p in ("edge", "p3", "c3", "k13")] + [(ODD_PATTERNS[0], (3, 3))]:
         dist = O.oracle_distribution(n, m, f, kind=f.kind)
         want = sum((math.comb(t, 2) * w for t, w in dist.by_t.items()), Fraction(0))
         assert C.binomial_moments(n, m, f, 2, kind=f.kind)[2] == want, (f, n, m)
-    assert C.binomial_moments(4, 3, G.loop(), 0) == [C.mg_total(4, 3)]
+    assert C.binomial_moments(4, 3, G.loop(), 0) == [C.total(4, 3)]
     # every moment: loops in (4, 3) hosts are binomial(3, 1/4)
     assert C.binomial_moments(4, 3, G.loop()) == [math.comb(3, k) * 4**k * 16 ** (3 - k) for k in range(4)]
     with pytest.raises(ValueError, match="k_max=-1"):

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from graphcensus import predictors
+from graphcensus import census, predictors
 from graphcensus.cli import main
+from graphcensus.graphs import shape
+from graphcensus.models import WeightSpec
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +118,58 @@ def test_exact_expected_needs_a_reachable_degree_sum(capsys):
     err = _usage_error(capsys, "exact", "--n", "3", "--m", "2", "--family", "c3", "--delta", "finite:0,0,1",
                        "--expected")
     assert "no degree sequence" in err and "2m = 4" in err
+
+
+LOOP_JSON = '{"kind": "multigraph", "n": 1, "edges": [[1, 1]]}'
+TRIANGLE_JSON = '{"kind": "simple", "n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}'
+BAD_INPUTS = {
+    "unknown-shape": (["--n", "3", "--m", "2", "--family", "hexagon"], "unknown multigraph shape 'hexagon'"),
+    "shape-list": (["--n", "3", "--m", "2", "--family", "loop,double-edge"],
+                   "unknown multigraph shape 'loop,double-edge'"),
+    "multigraph-pattern": (["--kind", "simple", "--n", "3", "--m", "2", "--family", LOOP_JSON],
+                           "a simple host count needs simple patterns"),
+    "simple-pattern": (["--n", "3", "--m", "3", "--family", TRIANGLE_JSON],
+                       "a multigraph host count needs multigraph patterns"),
+    "graph-json": (["--n", "3", "--m", "2", "--family", '{"kind": "multigraph"}'],
+                   'graph JSON needs "kind", "n" and "edges"'),
+    "unknown-delta": (["--n", "3", "--m", "2", "--family", "loop", "--delta", "cubic"], "unknown weight spec 'cubic'"),
+    "delta-json": (["--n", "3", "--m", "2", "--family", "loop", "--delta", '{"kind": "finite"}'],
+                   "weight spec JSON needs the key 'coeffs'"),
+    "negative-n": (["--n", "-1", "--m", "2", "--family", "loop"], "n=-1, m=2"),
+    "negative-m": (["--n", "3", "--m", "-2", "--family", "loop"], "n=3, m=-2"),
+}
+USAGE_CASES = {f"{verb}-{name}": (verb, *case) for verb in ("exact", "oracle") for name, case in BAD_INPUTS.items()}
+USAGE_CASES["exact-negative-t"] = ("exact", ["--n", "3", "--m", "2", "--family", "loop", "--t", "-1"], "t=-1")
+
+
+@pytest.mark.parametrize("verb, argv, message", USAGE_CASES.values(), ids=USAGE_CASES.keys())
+def test_bad_inputs_are_usage_errors(capsys, verb, argv, message):
+    assert message in _usage_error(capsys, verb, *argv)
+
+
+EXACT_CASES = [(kind, delta, family, expected)
+               for kind, deltas in (("multi", (None, "finite:1,1,1,1")), ("simple", (None,)))
+               for delta in deltas for family in (None, "p3") for expected in (False, True)]
+
+
+@pytest.mark.parametrize("kind, delta, family, expected", EXACT_CASES)
+def test_exact_answers_every_accepted_combination(capsys, kind, delta, family, expected):
+    n, m = 5, 4
+    argv = ["exact", "--kind", kind, "--n", str(n), "--m", str(m)]
+    argv += ["--delta", delta] if delta else []
+    argv += ["--family", family] if family else []
+    argv += ["--expected"] if expected else []
+    graph_kind = "multigraph" if kind == "multi" else "simple"
+    weights = WeightSpec.from_json(delta) if delta else None
+    if family is None:
+        want = census.total(n, m, kind=graph_kind, delta=weights)
+    elif expected:
+        want = census.expected_count(n, m, shape(family, graph_kind), delta=weights, kind=graph_kind)
+    else:
+        want = census.distinguished(n, m, shape(family, graph_kind), kind=graph_kind, delta=weights)
+    assert want > 0
+    out = json.loads(run_cli(capsys, *argv))
+    assert out == {"value_numerator": str(want.numerator), "value_denominator": str(want.denominator)}
 
 
 def test_predict_verb(capsys):

@@ -32,12 +32,12 @@ def test_oracle_distribution_examples():
 
 
 def test_oracle_family_matches_census():
-    from graphcensus.census import mg_distinguished
+    from graphcensus.census import distinguished
 
     family = [G.loop(), G.edge_multi()]
     dist = O.oracle_distribution(3, 2, family)
     assert dist.total == 3**4
-    assert dist.distinguished_total == mg_distinguished(3, 2, family)
+    assert dist.distinguished_total == distinguished(3, 2, family)
 
 
 def test_oracle_rejects_isomorphic_family_members():
@@ -59,13 +59,13 @@ def test_oracle_totals_match_closed_forms():
 
 
 def test_weighted_total_equals_series_power():
-    from graphcensus.census import mg_weighted_total
+    from graphcensus.census import total
 
     for spec in (WeightSpec.finite([1, 1]), WeightSpec.finite([1, 0, 1]), WeightSpec.finite([1, 1, 1, 1])):
         for n in (1, 2, 3):
             for m in range(0, 4):
                 dist = O.oracle_distribution(n, m, G.loop(), delta=spec)
-                assert dist.total == mg_weighted_total(n, m, spec)
+                assert dist.total == total(n, m, delta=spec)
 
 
 def test_multigraphs_to_graphs_transfer():
