@@ -14,12 +14,12 @@ Layers:
 
 from .graphs import (
     BalanceClass,
+    Graph,
     Multigraph,
     SimpleGraph,
     Subgraph,
     aut_count,
     balance_class,
-    canonical_copies,
     density,
     essential_density,
     graph_from_json,
@@ -27,7 +27,6 @@ from .graphs import (
     is_isomorphic,
     pair_family,
     shape,
-    strip_orientation_labels,
     subgraph_count,
 )
 from .models import (
@@ -45,6 +44,7 @@ from .series import TruncatedSeries, class_egf, family_egf, lagrange_identity_ch
 __all__ = [
     "BalanceClass",
     "DegreeDistribution",
+    "Graph",
     "Multigraph",
     "SimpleGraph",
     "Subgraph",
@@ -52,7 +52,6 @@ __all__ = [
     "WeightSpec",
     "aut_count",
     "balance_class",
-    "canonical_copies",
     "class_egf",
     "density",
     "derive_rng",
@@ -69,7 +68,6 @@ __all__ = [
     "sample_uniform_simple",
     "shape",
     "solve_tuning",
-    "strip_orientation_labels",
     "subgraph_count",
 ]
 

@@ -171,14 +171,12 @@ def _cover_counts(h: Graph, f: Graph) -> list[int]:
     p_k = sum_T (-1)^{|E - T|} binom(c(T), k), where c(T) counts the copies
     inside the element set T; c comes from subset sums over the copies' masks.
     """
-    edges = range(1, h.m + 1) if h.kind == "multigraph" else sorted(h.edges)
     lone = [v for v, d in enumerate(h.degrees(), start=1) if d == 0]
-    bit = {x: 1 << i for i, x in enumerate(edges)}
     vbit = {v: 1 << (h.m + i) for i, v in enumerate(lone)}
     size = h.m + len(lone)
     if size > PATCHWORK_ELEMENT_CAP:
         raise SizeCapError(f"a patchwork with more than {PATCHWORK_ELEMENT_CAP} edges and edgeless vertices")
-    masks = [sum(bit[e] for e in c.edge_part) + sum(vbit.get(v, 0) for v in c.vertices)
+    masks = [sum(1 << (j - 1) for j in c.edge_part) + sum(vbit.get(v, 0) for v in c.vertices)
              for c in subgraph_copies(h, f)]
     inside = np.bincount(np.array(masks, dtype=np.int64), minlength=1 << size).reshape((2,) * size)
     for axis in range(size):

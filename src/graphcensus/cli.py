@@ -91,17 +91,20 @@ def _cmd_exact(args):
 def _cmd_sample(args):
     if args.delta is not None and args.kind == "simple":
         args.error("--delta draws multigraphs; it cannot be used with --kind simple")
-    delta = _parse_delta(args.delta)
     lines = []
-    for r in range(args.count):
-        rng = derive_rng(args.seed, r)
-        if delta is not None:
-            g = sample_delta_multigraph(args.n, args.m, delta, rng)
-        elif args.kind == "multi":
-            g = sample_uniform_multigraph(args.n, args.m, rng)
-        else:
-            g = sample_uniform_simple(args.n, args.m, rng)
-        lines.append(graph_to_json(g.to_graph()))
+    try:
+        delta = _parse_delta(args.delta)
+        for r in range(args.count):
+            rng = derive_rng(args.seed, r)
+            if delta is not None:
+                g = sample_delta_multigraph(args.n, args.m, delta, rng)
+            elif args.kind == "multi":
+                g = sample_uniform_multigraph(args.n, args.m, rng)
+            else:
+                g = sample_uniform_simple(args.n, args.m, rng)
+            lines.append(graph_to_json(g.to_graph()))
+    except ValueError as exc:
+        args.error(str(exc))
     text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -111,28 +114,41 @@ def _cmd_sample(args):
 
 
 def _cmd_predict(args):
-    params = json.loads(args.params) if args.params else {}
-    for key in ("shape", "c", "n", "m", "l", "p", "beta", "convention", "norm", "kind"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            params.setdefault(key, value)
-    if args.delta:
-        params.setdefault("delta", json.loads(args.delta) if args.delta.startswith("{") else args.delta)
-    prediction = predictors.predict(args.theorem, **params)
+    try:
+        params = json.loads(args.params) if args.params else {}
+        for key in ("shape", "c", "n", "m", "l", "p", "beta", "convention", "norm", "kind"):
+            value = getattr(args, key.replace("-", "_"), None)
+            if value is not None:
+                params.setdefault(key, value)
+        if args.delta:
+            params.setdefault("delta", json.loads(args.delta) if args.delta.startswith("{") else args.delta)
+        prediction = predictors.predict(args.theorem, **params)
+    except KeyError as exc:
+        args.error(f"--theorem {args.theorem} needs --{exc.args[0]}")
+    except ValueError as exc:
+        args.error(str(exc))
     out = prediction.to_json()
     out["theorem"] = args.theorem
     _emit(out, args.out)
 
 
 def _cmd_experiment(args):
-    with open(args.config) as fh:
-        config = experiments.ExperimentConfig.from_json(json.load(fh))
+    if args.verb == "sweep" and args.sizes is None:
+        args.error("sweep needs --sizes")
+    try:
+        with open(args.config) as fh:
+            config = experiments.ExperimentConfig.from_json(json.load(fh))
+        if args.verb == "run":
+            report = experiments.run(config)
+        else:
+            reports = experiments.sweep(config, [int(s) for s in args.sizes.split(",")])
+    except OSError as exc:
+        args.error(f"cannot read --config: {exc}")
+    except ValueError as exc:
+        args.error(str(exc))
     if args.verb == "run":
-        report = experiments.run(config)
         _emit(report.to_json(), args.out)
         return
-    sizes = [int(s) for s in args.sizes.split(",")]
-    reports = experiments.sweep(config, sizes)
     csv_text = experiments.sweep_csv(reports)
     if args.out:
         with open(args.out, "w") as fh:
@@ -194,14 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta")
     p.add_argument("--params", help="extra parameters as JSON")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, error=p.error)
 
     p = sub.add_parser("experiment", help="Monte Carlo runs")
     p.add_argument("verb", choices=["run", "sweep"])
     p.add_argument("--config", required=True)
     p.add_argument("--sizes", help="comma-separated n list (sweep)")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_experiment)
+    p.set_defaults(func=_cmd_experiment, error=p.error)
     return parser
 
 

@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from . import predictors
 from .graphs import (  # noqa: F401
     Graph,
     Host,
-    Multigraph,
     canonical_form,
     shape,
     subgraph_count,
@@ -101,7 +100,7 @@ def _spasm(name: str, kind: str) -> tuple:
     classes = f.pair_multiplicities()  # (a, b) -> k; loops as (a, a)
     expansions = [[(j, s) for j, s in enumerate(stirling1_signed(k)) if s] for k in classes.values()]
     terms = list(product(*expansions))  # one term per exponent j of each class
-    basis: dict[tuple, list] = {}  # canonical form -> [coefficient, quotient Multigraph, q, edges]
+    basis: dict[tuple, list] = {}  # canonical form -> [coefficient, quotient multigraph, q, edges]
     for blocks in _set_partitions(f.n):
         if any(a != b and blocks[a - 1] == blocks[b - 1] for a, b in classes):
             continue
@@ -113,7 +112,7 @@ def _spasm(name: str, kind: str) -> tuple:
                 merged[tuple(sorted((blocks[a - 1], blocks[b - 1])))] += j
             coef = moebius * math.prod(s for _, s in term)
             edges = tuple((x, y, k) for (x, y), k in sorted(merged.items()))
-            quotient = Multigraph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
+            quotient = Graph(len(sizes), [e + 1 for x, y, k in edges for _ in range(k) for e in (x, y)])
             basis.setdefault(canonical_form(quotient), [0, quotient, len(sizes), edges])[0] += coef
     divisor = vertex_automorphisms(f) * math.prod(math.factorial(k) for k in classes.values())
     return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis.values() if coef)
@@ -250,8 +249,7 @@ def count_patterns(g: Graph | Host, patterns: list[str]) -> tuple[int, ...]:
     ``Host`` arrays (a graph value is read into a ``Host`` first); an
     unknown name (or a pattern graph) raises ``ValueError``."""
     if not isinstance(g, Host):
-        seq = g.edge_seq if g.kind == "multigraph" else chain.from_iterable(g.edges)
-        g = Host(g.n, np.fromiter(seq, dtype=np.int64, count=2 * g.m), g.kind)
+        g = Host(g.n, np.fromiter(g.edge_seq, dtype=np.int64, count=2 * g.m), g.kind)
     return tuple(_count(g, p) for p in patterns)
 
 

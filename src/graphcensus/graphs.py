@@ -1,10 +1,11 @@
 """Core (multi)graph data model and exact structural analysis.
 
-A multigraph is vertex-labeled (1..n) with labeled, oriented edges: edge j is
-stored as the pair (edge_seq[2j-2], edge_seq[2j-1]), so the whole object is
-the flat sequence (v_1, ..., v_2m).  Loops and parallel edges are allowed.
-A simple graph is vertex-labeled with an unordered edge set, no loops, no
-parallel edges.
+One value type, ``Graph``, holds both kinds.  A graph is vertex-labeled
+(1..n) with labeled edges: edge j is stored as the pair (edge_seq[2j-2],
+edge_seq[2j-1]), so the whole object is the flat sequence (v_1, ..., v_2m).
+A multigraph's edges are oriented, and loops and parallel edges are allowed.
+A simple graph is a multigraph with no loop and no parallel edge, its
+sequence being its edge set in sorted order.
 
 Isomorphism for multigraphs is taken modulo vertex relabeling, edge
 relabeling, and per-edge orientation flips (flips act trivially on loops).
@@ -38,32 +39,52 @@ class SizeCapError(ValueError):
     """A brute-force size cap was exceeded (hard error, never silent)."""
 
 
-class Multigraph:
-    """Canonical vertex-labeled, edge-labeled, edge-oriented multigraph."""
+class Graph:
+    """Canonical vertex-labeled graph of one kind, as a flat edge sequence.
 
-    kind = "multigraph"
-    __slots__ = ("n", "edge_seq")
+    Edge j (labels 1..m) joins edge_seq[2j-2] and edge_seq[2j-1].  A
+    "multigraph" keeps its labeled, oriented sequence as given.  A "simple"
+    graph refuses loops; its sequence is its distinct (u < v) pairs in sorted
+    order, so equal edge sets give equal graphs.
+    """
 
-    def __init__(self, n: int, edge_seq: Iterable[int] = ()):
-        seq = tuple(map(int, edge_seq))
+    __slots__ = ("n", "edge_seq", "kind")
+
+    def __init__(self, n: int, edge_seq: Iterable[int] = (), kind: str = "multigraph"):
+        if kind not in ("multigraph", "simple"):
+            raise ValueError(f"unknown graph kind {kind!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        seq = tuple(map(int, edge_seq))
         if len(seq) % 2 != 0:
             raise ValueError("edge_seq must have even length")
         if seq and not (1 <= min(seq) and max(seq) <= n):
             raise ValueError(f"vertex labels must lie in 1..{n}")
+        if kind == "simple":
+            pairs = {(u, v) if u < v else (v, u) for u, v in zip(seq[0::2], seq[1::2])}
+            if any(u == v for u, v in pairs):
+                raise ValueError("loops are not allowed in a simple graph")
+            seq = tuple(x for pair in sorted(pairs) for x in pair)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edge_seq", seq)
+        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Multigraph is immutable")
+        raise AttributeError("Graph is immutable")
 
     def __reduce__(self):
-        return (Multigraph, (self.n, self.edge_seq))
+        return (Graph, (self.n, self.edge_seq, self.kind))
 
     @property
     def m(self) -> int:
         return len(self.edge_seq) // 2
+
+    @property
+    def edges(self) -> frozenset:
+        """A simple graph's (u < v) pairs."""
+        if self.kind != "simple":
+            raise AttributeError("edges")
+        return frozenset(zip(self.edge_seq[0::2], self.edge_seq[1::2]))
 
     def endpoints(self, j: int) -> tuple[int, int]:
         """Oriented endpoints of edge j (labels are 1-based)."""
@@ -91,75 +112,27 @@ class Multigraph:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Multigraph)
+            isinstance(other, Graph)
             and self.n == other.n
             and self.edge_seq == other.edge_seq
+            and self.kind == other.kind
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_seq))
+        return hash((self.kind, self.n, self.edge_seq))
 
     def __repr__(self) -> str:
-        edges = [self.endpoints(j) for j in range(1, self.m + 1)]
-        return f"Multigraph(n={self.n}, edges={edges})"
+        return f"Graph({self.n}, {self.edge_seq}, {self.kind!r})"
 
 
-class SimpleGraph:
-    """Canonical vertex-labeled graph; unordered edges, no loops/parallels."""
-
-    kind = "simple"
-    __slots__ = ("n", "edges")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        norm = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError("loops are not allowed in a simple graph")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) outside 1..{n}")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimpleGraph is immutable")
-
-    def __reduce__(self):
-        return (SimpleGraph, (self.n, tuple(self.edges)))
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * (self.n + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg[1:])
-
-    def pair_multiplicities(self) -> dict[tuple[int, int], int]:
-        return {e: 1 for e in self.edges}
-
-    def loop_count(self) -> int:
-        return 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimpleGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, edges={sorted(self.edges)})"
+def Multigraph(n: int, edge_seq: Iterable[int] = ()) -> Graph:
+    """A multigraph from its flat sequence of oriented edge ends."""
+    return Graph(n, edge_seq)
 
 
-Graph = Multigraph | SimpleGraph
+def SimpleGraph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
+    """A simple graph from its edges; repeated pairs are merged."""
+    return Graph(n, [x for u, v in edges for x in (u, v)], "simple")
 
 
 class Host:
@@ -239,24 +212,22 @@ class Host:
 
     @property
     def edge_seq(self) -> tuple[int, ...]:
-        """A multigraph host's ``Multigraph.edge_seq``."""
+        """A multigraph host's ``Graph.edge_seq``."""
         if self.kind != "multigraph":
             raise AttributeError("edge_seq")
         return tuple(self.ends.tolist())
 
     @property
     def edges(self) -> frozenset:
-        """A simple host's ``SimpleGraph.edges``: its (u < v) pairs."""
+        """A simple host's ``Graph.edges``: its (u < v) pairs."""
         if self.kind != "simple":
             raise AttributeError("edges")
         u, v = self.ends[0::2], self.ends[1::2]
         return frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
 
     def to_graph(self) -> Graph:
-        """The equal ``Multigraph`` or ``SimpleGraph``, for the exact layer."""
-        if self.kind == "multigraph":
-            return Multigraph(self.n, self.edge_seq)
-        return SimpleGraph(self.n, self.edges)
+        """The equal ``Graph``, for the exact layer."""
+        return Graph(self.n, self.ends.tolist(), self.kind)
 
     def edge(self, k: int, dtype) -> tuple:
         """The factor M^k over ``sym``: (codes, values)."""
@@ -318,11 +289,8 @@ class Host:
 
 @dataclass(frozen=True)
 class Subgraph:
-    """A concrete subgraph of a host: chosen vertices plus chosen edges.
-
-    For a multigraph host, ``edge_part`` is a frozenset of edge labels; for a
-    simple host it is a frozenset of unordered endpoint pairs.
-    """
+    """A concrete subgraph of a host: chosen vertices plus chosen edges,
+    ``edge_part`` being a frozenset of the host's edge labels."""
 
     vertices: frozenset
     edge_part: frozenset
@@ -345,17 +313,6 @@ def density(g: Graph) -> Fraction:
     return Fraction(g.m, g.n)
 
 
-def _induced_edge_count(g: Graph, subset: frozenset) -> int:
-    if isinstance(g, Multigraph):
-        seq = g.edge_seq
-        return sum(
-            1
-            for j in range(0, len(seq), 2)
-            if seq[j] in subset and seq[j + 1] in subset
-        )
-    return sum(1 for u, v in g.edges if u in subset and v in subset)
-
-
 def essential_density(g: Graph) -> tuple[Fraction, Subgraph]:
     """Maximum density over nonempty vertex subsets with all induced edges.
 
@@ -370,7 +327,7 @@ def essential_density(g: Graph) -> tuple[Fraction, Subgraph]:
     for size in range(1, g.n + 1):
         for subset in combinations(vertices, size):
             fs = frozenset(subset)
-            d = Fraction(_induced_edge_count(g, fs), size)
+            d = Fraction(len(_induced_edge_part(g, fs)), size)
             if d > best:
                 best = d
                 witness = fs
@@ -378,14 +335,9 @@ def essential_density(g: Graph) -> tuple[Fraction, Subgraph]:
 
 
 def _induced_edge_part(g: Graph, subset: frozenset) -> frozenset:
-    if isinstance(g, Multigraph):
-        seq = g.edge_seq
-        return frozenset(
-            j // 2 + 1
-            for j in range(0, len(seq), 2)
-            if seq[j] in subset and seq[j + 1] in subset
-        )
-    return frozenset(e for e in g.edges if e[0] in subset and e[1] in subset)
+    """Labels of the edges of g with both ends in subset."""
+    seq = g.edge_seq
+    return frozenset(j // 2 + 1 for j in range(0, len(seq), 2) if seq[j] in subset and seq[j + 1] in subset)
 
 
 def balance_class(g: Graph) -> BalanceClass:
@@ -403,7 +355,7 @@ def balance_class(g: Graph) -> BalanceClass:
     for size in range(1, g.n):
         for subset in combinations(vertices, size):
             fs = frozenset(subset)
-            cand = Fraction(_induced_edge_count(g, fs), size)
+            cand = Fraction(len(_induced_edge_part(g, fs)), size)
             if cand > max_strict:
                 max_strict = cand
     if g.m >= 1:
@@ -519,53 +471,16 @@ def aut_count(g: Graph) -> int:
 
         aut = (#vertex automorphisms) * prod k! * prod_over_loop_classes 2^k.
 
-    Simple graphs: the usual vertex automorphism count.  In both cases
-    canonical_copies(g) * aut_count(g) equals the order of the acting group.
+    A simple graph has no loop and every k = 1, which leaves the usual vertex
+    automorphism count.  In both cases ``oracle.canonical_copies(g) *
+    aut_count(g)`` equals the order of the acting group.
     """
-    if isinstance(g, SimpleGraph):
-        return vertex_automorphisms(g)
     result = vertex_automorphisms(g)
     for (u, v), mult in g.pair_multiplicities().items():
         result *= math.factorial(mult)
         if u == v:
             result *= 2**mult
     return result
-
-
-def canonical_copies(g: Graph) -> int:
-    """Number of canonical objects on the same support isomorphic to g.
-
-    Brute-force orbit enumeration: all n^(2m) sequences for multigraphs, all
-    m-subsets of pairs for simple graphs.  Capped at n <= 6 and m <= 6.
-    """
-    if g.n > 6 or g.m > 6:
-        raise SizeCapError("canonical_copies is capped at n <= 6, m <= 6")
-    count = 0
-    if isinstance(g, Multigraph):
-        deg_sig = sorted(g.degrees())
-        mult_sig = sorted(g.pair_multiplicities().values())
-        for seq in product(range(1, g.n + 1), repeat=2 * g.m):
-            cand = Multigraph(g.n, seq)
-            if sorted(cand.degrees()) != deg_sig:
-                continue
-            if sorted(cand.pair_multiplicities().values()) != mult_sig:
-                continue
-            if is_isomorphic(cand, g):
-                count += 1
-        return count
-    pairs = list(combinations(range(1, g.n + 1), 2))
-    for chosen in combinations(pairs, g.m):
-        cand = SimpleGraph(g.n, chosen)
-        if is_isomorphic(cand, g):
-            count += 1
-    return count
-
-
-def group_order(g: Graph) -> int:
-    """Order of the relabeling group acting on canonical objects of g's size."""
-    if isinstance(g, Multigraph):
-        return math.factorial(g.n) * 2**g.m * math.factorial(g.m)
-    return math.factorial(g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +526,7 @@ def subgraph_count(g: Graph, f: Graph) -> int:
 
 def as_family(family: Graph | Iterable[Graph]) -> list[Graph]:
     """One graph or an iterable of pairwise non-isomorphic graphs, as a list."""
-    shapes = [family] if isinstance(family, (Multigraph, SimpleGraph)) else list(family)
+    shapes = [family] if isinstance(family, Graph) else list(family)
     for a, b in combinations(shapes, 2):
         if a.kind == b.kind and is_isomorphic(a, b):
             raise ValueError("family members must be pairwise non-isomorphic")
@@ -633,13 +548,11 @@ def _embedding_weight_sum(g: Graph, f: Graph, collect) -> int:
     used: set[int] = set()
     total = 0
 
-    multigraph = isinstance(g, Multigraph)
-    if collect is not None and multigraph:
+    if collect is not None:
         host_labels: dict[tuple[int, int], list[int]] = {}
         for j in range(1, g.m + 1):
             u, v = g.endpoints(j)
-            key = (u, v) if u <= v else (v, u)
-            host_labels.setdefault(key, []).append(j)
+            host_labels.setdefault((u, v) if u <= v else (v, u), []).append(j)
 
     def ways_for_map() -> int:
         w = 1
@@ -659,12 +572,7 @@ def _embedding_weight_sum(g: Graph, f: Graph, collect) -> int:
         pair_reqs = []
         for (a, b), k in f.pair_multiplicities().items():
             u, v = placed[a], placed[b]
-            key = (u, v) if u <= v else (v, u)
-            if multigraph:
-                pool = host_labels.get(key, [])
-            else:
-                pool = [key] if key in g.edges else []
-            pair_reqs.append((pool, k))
+            pair_reqs.append((host_labels.get((u, v) if u <= v else (v, u), []), k))
         choices = [list(combinations(pool, k)) for pool, k in pair_reqs]
         for combo in product(*choices):
             part = frozenset(x for chunk in combo for x in chunk)
@@ -776,21 +684,18 @@ def glue(h: Graph, f: Graph, n_max: int | None = None, m_max: int | None = None)
                     mult = dict(base)
                     for (key, c), r in zip(pairs, rs):
                         mult[key] = mult.get(key, 0) + c - r
-                    if simple:
-                        yield SimpleGraph(n, mult.keys())
-                    else:
-                        yield Multigraph(n, [x for (u, v), c in sorted(mult.items()) for x in (u, v) * c])
+                    yield Graph(n, [x for (u, v), c in sorted(mult.items()) for x in (u, v) * c], h.kind)
 
 
-def pair_family(f: Multigraph) -> list[Multigraph]:
+def pair_family(f: Graph) -> list[Graph]:
     """Isomorphism classes of unions of two distinct overlapping copies of f:
     the connected results of ``glue(f, f)`` other than f itself, each class
     represented by the first of its unions that ``glue`` yields."""
-    if not isinstance(f, Multigraph):
+    if f.kind != "multigraph":
         raise TypeError("pair_family expects a multigraph pattern")
     if not is_connected(f):
         raise ValueError("pair_family requires a connected pattern")
-    reps: dict[tuple, Multigraph] = {}
+    reps: dict[tuple, Graph] = {}
     for g in glue(f, f):
         if g.m > f.m and is_connected(g):
             reps.setdefault(canonical_form(g), g)
@@ -798,33 +703,11 @@ def pair_family(f: Multigraph) -> list[Multigraph]:
 
 
 # ---------------------------------------------------------------------------
-# conversions and JSON
-
-
-def strip_orientation_labels(g: Multigraph) -> SimpleGraph:
-    """Forget edge labels/orientations; rejects loops and parallel edges."""
-    if not isinstance(g, Multigraph):
-        raise TypeError("expected a multigraph")
-    edges = []
-    seen = set()
-    seq = g.edge_seq
-    for j in range(0, len(seq), 2):
-        u, v = seq[j], seq[j + 1]
-        if u == v:
-            raise ValueError("multigraph has a loop")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError("multigraph has parallel edges")
-        seen.add(key)
-        edges.append(key)
-    return SimpleGraph(g.n, edges)
+# JSON
 
 
 def graph_to_json(g: Graph) -> str:
-    if isinstance(g, Multigraph):
-        edges = [list(g.endpoints(j)) for j in range(1, g.m + 1)]
-        return json.dumps({"kind": "multigraph", "n": g.n, "edges": edges})
-    return json.dumps({"kind": "simple", "n": g.n, "edges": sorted(map(list, g.edges))})
+    return json.dumps({"kind": g.kind, "n": g.n, "edges": [list(g.endpoints(j)) for j in range(1, g.m + 1)]})
 
 
 def graph_from_json(text: str | dict) -> Graph:
@@ -833,32 +716,25 @@ def graph_from_json(text: str | dict) -> Graph:
         kind, n, edges = data["kind"], data["n"], data["edges"]
     except (KeyError, TypeError):
         raise ValueError('graph JSON needs "kind", "n" and "edges"') from None
-    if kind == "multigraph":
-        seq: list[int] = []
-        for u, v in edges:
-            seq.extend((u, v))
-        return Multigraph(n, seq)
-    if kind == "simple":
-        return SimpleGraph(n, [tuple(e) for e in edges])
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return Graph(n, [x for u, v in edges for x in (u, v)], kind)
 
 
 # ---------------------------------------------------------------------------
 # builtin shapes
 
-def loop() -> Multigraph:
+def loop() -> Graph:
     return Multigraph(1, (1, 1))
 
 
-def edge_multi() -> Multigraph:
+def edge_multi() -> Graph:
     return Multigraph(2, (1, 2))
 
 
-def double_edge() -> Multigraph:
+def double_edge() -> Graph:
     return Multigraph(2, (1, 2, 1, 2))
 
 
-def cycle_multi(length: int) -> Multigraph:
+def cycle_multi(length: int) -> Graph:
     """Cycle as a multigraph: length 1 is the loop, 2 the double edge."""
     if length < 1:
         raise ValueError("cycle length must be >= 1")
@@ -873,7 +749,7 @@ def cycle_multi(length: int) -> Multigraph:
     return Multigraph(length, seq)
 
 
-def path_multi(k: int) -> Multigraph:
+def path_multi(k: int) -> Graph:
     """Path on k vertices (k-1 edges)."""
     if k < 1:
         raise ValueError("path needs at least one vertex")
@@ -883,33 +759,33 @@ def path_multi(k: int) -> Multigraph:
     return Multigraph(k, seq)
 
 
-def star_multi(leaves: int) -> Multigraph:
+def star_multi(leaves: int) -> Graph:
     seq: list[int] = []
     for i in range(2, leaves + 2):
         seq.extend((1, i))
     return Multigraph(leaves + 1, seq)
 
 
-def edge_simple() -> SimpleGraph:
+def edge_simple() -> Graph:
     return SimpleGraph(2, [(1, 2)])
 
 
-def cycle_simple(length: int) -> SimpleGraph:
+def cycle_simple(length: int) -> Graph:
     if length < 3:
         raise ValueError("simple cycles need length >= 3")
     edges = [(i, i + 1) for i in range(1, length)] + [(1, length)]
     return SimpleGraph(length, edges)
 
 
-def path_simple(k: int) -> SimpleGraph:
+def path_simple(k: int) -> Graph:
     return SimpleGraph(k, [(i, i + 1) for i in range(1, k)])
 
 
-def star_simple(leaves: int) -> SimpleGraph:
+def star_simple(leaves: int) -> Graph:
     return SimpleGraph(leaves + 1, [(1, i) for i in range(2, leaves + 2)])
 
 
-def complete_simple(k: int) -> SimpleGraph:
+def complete_simple(k: int) -> Graph:
     return SimpleGraph(k, list(combinations(range(1, k + 1), 2)))
 
 

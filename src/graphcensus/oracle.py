@@ -1,12 +1,14 @@
 """Ground truth at tiny sizes by exhaustive enumeration.
 
 Enumerates every canonical (multi)graph of a given size, tallies exact copy
-count distributions (optionally degree-weighted), and computes the patchwork
-generating function straight from its definition.  Everything here is a test
-instrument: exact, loud on caps, and deliberately unoptimized.  Its
-``patchwork_series`` is the reference for ``census.patchwork_series``, which
-builds the same coefficients by gluing copies and enumerates no host;
-``census`` does not import this module.
+count distributions (optionally degree-weighted), counts the canonical
+copies of a shape (``canonical_copies``, the orbit sizes behind
+``graphs.aut_count``), and computes the patchwork generating function
+straight from its definition.  Everything here is a test instrument: exact,
+loud on caps, and deliberately unoptimized.  Its ``patchwork_series`` is the
+reference for ``census.patchwork_series``, which builds the same
+coefficients by gluing copies and enumerates no host; ``census`` does not
+import this module.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class CountDistribution:
         }
 
 
-def enumerate_multigraphs(n: int, m: int) -> Iterator[Multigraph]:
+def enumerate_multigraphs(n: int, m: int) -> Iterator[Graph]:
     """All n^(2m) canonical (n,m)-multigraph sequences, each exactly once."""
     if n**(2 * m) > ENUMERATION_CAP:
         raise SizeCapError(f"{n}^(2*{m}) exceeds the enumeration cap")
@@ -64,7 +66,7 @@ def enumerate_multigraphs(n: int, m: int) -> Iterator[Multigraph]:
         yield Multigraph(n, seq)
 
 
-def enumerate_simple(n: int, m: int) -> Iterator[SimpleGraph]:
+def enumerate_simple(n: int, m: int) -> Iterator[Graph]:
     """All binom(binom(n,2), m) canonical simple (n,m)-graphs."""
     pairs = list(combinations(range(1, n + 1), 2))
     if math.comb(len(pairs), m) > ENUMERATION_CAP:
@@ -112,6 +114,26 @@ def oracle_distribution(
     return dist
 
 
+def canonical_copies(g: Graph) -> int:
+    """Number of canonical objects on the same support isomorphic to g.
+
+    Brute-force orbit enumeration: all n^(2m) sequences for multigraphs, all
+    m-subsets of pairs for simple graphs.  Capped at n <= 6 and m <= 6.
+    """
+    if g.n > 6 or g.m > 6:
+        raise SizeCapError("canonical_copies is capped at n <= 6, m <= 6")
+    hosts = enumerate_multigraphs(g.n, g.m) if g.kind == "multigraph" else enumerate_simple(g.n, g.m)
+    mult_sig = sorted(g.pair_multiplicities().values())
+    return sum(1 for h in hosts if sorted(h.pair_multiplicities().values()) == mult_sig and is_isomorphic(h, g))
+
+
+def group_order(g: Graph) -> int:
+    """Order of the relabeling group acting on canonical objects of g's size."""
+    if g.kind == "multigraph":
+        return math.factorial(g.n) * 2**g.m * math.factorial(g.m)
+    return math.factorial(g.n)
+
+
 def naive_subgraph_count(g: Graph, f: Graph) -> int:
     """Copy count by enumerating every (vertex subset, edge subset) pair.
 
@@ -121,27 +143,14 @@ def naive_subgraph_count(g: Graph, f: Graph) -> int:
     if g.kind != f.kind:
         raise TypeError("host and pattern must share a kind")
     count = 0
-    vertices = range(1, g.n + 1)
-    if isinstance(g, Multigraph):
-        edges = [(j,) + g.endpoints(j) for j in range(1, g.m + 1)]
-        for subset in combinations(vertices, f.n):
-            sub = set(subset)
-            inside = [e for e in edges if e[1] in sub and e[2] in sub]
-            for chosen in combinations(inside, f.m):
-                relabel = {v: i + 1 for i, v in enumerate(sorted(sub))}
-                seq: list[int] = []
-                for _, u, v in chosen:
-                    seq.extend((relabel[u], relabel[v]))
-                if is_isomorphic(Multigraph(f.n, seq), f):
-                    count += 1
-        return count
-    for subset in combinations(vertices, f.n):
+    edges = [g.endpoints(j) for j in range(1, g.m + 1)]
+    for subset in combinations(range(1, g.n + 1), f.n):
         sub = set(subset)
-        inside = [e for e in g.edges if e[0] in sub and e[1] in sub]
+        inside = [e for e in edges if e[0] in sub and e[1] in sub]
+        relabel = {v: i + 1 for i, v in enumerate(subset)}
         for chosen in combinations(inside, f.m):
-            relabel = {v: i + 1 for i, v in enumerate(sorted(sub))}
-            cand = SimpleGraph(f.n, [(relabel[u], relabel[v]) for u, v in chosen])
-            if is_isomorphic(cand, f):
+            seq = [relabel[v] for e in chosen for v in e]
+            if is_isomorphic(Graph(f.n, seq, f.kind), f):
                 count += 1
     return count
 
@@ -176,10 +185,7 @@ def _piece_sets_with_full_union(host: Graph, copies: list[Subgraph], disjoint_on
     vertex-disjoint, that is, if their vertex counts add up to n(host).
     """
     all_vertices = frozenset(range(1, host.n + 1))
-    if isinstance(host, Multigraph):
-        all_edges = frozenset(range(1, host.m + 1))
-    else:
-        all_edges = frozenset(host.edges)
+    all_edges = frozenset(range(1, host.m + 1))
     for k in range(0 if host.n == 0 else 1, len(copies) + 1):
         for chosen in combinations(copies, k):
             verts = frozenset().union(*(c.vertices for c in chosen)) if chosen else frozenset()
@@ -231,7 +237,7 @@ def _patchwork_series(f: Graph, n_max: int, m_max: int, disjoint_only: bool) -> 
             for host in hosts:
                 copies = sorted(
                     subgraph_copies(host, f),
-                    key=lambda s: (sorted(s.vertices), sorted(map(str, s.edge_part))),
+                    key=lambda s: (sorted(s.vertices), sorted(s.edge_part)),
                 )
                 if not copies:
                     continue

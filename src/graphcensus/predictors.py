@@ -24,7 +24,6 @@ from fractions import Fraction
 from .graphs import (
     BalanceClass,
     Graph,
-    Multigraph,
     aut_count,
     balance_class,
     density,
@@ -79,7 +78,7 @@ def poisson_lambda_simple(f: Graph, c) -> Prediction:
     )
 
 
-def poisson_lambda_multi(f: Multigraph, c, convention: str = "iso-closed") -> Prediction:
+def poisson_lambda_multi(f: Graph, c, convention: str = "iso-closed") -> Prediction:
     """Poisson parameter for a strictly balanced multigraph at its threshold.
 
     Default: the limit of the isomorphism-closed family EGF at (n, 2m/n^2),

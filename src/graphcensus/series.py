@@ -11,8 +11,9 @@ The exponential-generating-function conventions used elsewhere live here as
     multigraph:  (prod_v y_{deg v}) z^n(F) w^m(F) / aut(F)
     simple:      (prod_v y_{deg v}) z^n(F) w^m(F) / aut(F)
 
-which equals canonical_copies(F) z^n/n! w^m/(2^m m!)  (multigraph convention,
-all y = 1), respectively canonical_copies(F) z^n/n! w^m for simple graphs.
+which equals oracle.canonical_copies(F) z^n/n! w^m/(2^m m!)  (multigraph
+convention, all y = 1), respectively oracle.canonical_copies(F) z^n/n! w^m for
+simple graphs.
 """
 
 from __future__ import annotations

@@ -140,6 +140,11 @@ BAD_INPUTS = {
 }
 USAGE_CASES = {f"{verb}-{name}": (verb, *case) for verb in ("exact", "oracle") for name, case in BAD_INPUTS.items()}
 USAGE_CASES["exact-negative-t"] = ("exact", ["--n", "3", "--m", "2", "--family", "loop", "--t", "-1"], "t=-1")
+USAGE_CASES["sample-negative-n"] = ("sample", ["--n", "-2", "--m", "1"], "need n >= 1")
+USAGE_CASES["predict-missing-shape"] = ("predict", ["--theorem", "regular", "--n", "3", "--p", "2"],
+                                        "--theorem regular needs --shape")
+USAGE_CASES["experiment-missing-config"] = ("experiment", ["run", "--config", "no-such-config.json"],
+                                            "cannot read --config")
 
 
 @pytest.mark.parametrize("verb, argv, message", USAGE_CASES.values(), ids=USAGE_CASES.keys())

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from graphcensus import graphs as G
 from graphcensus import oracle as O
-from graphcensus.models import derive_rng, sample_uniform_multigraph
+from graphcensus.models import derive_rng, sample_uniform_multigraph, sample_uniform_simple
 
 
 def test_density_examples():
@@ -87,13 +88,13 @@ def test_isomorphism_invariant_under_relabeling(n, m, rnd):
 
 
 def test_canonical_copies_examples():
-    assert G.canonical_copies(G.edge_multi()) == 2
-    assert G.canonical_copies(G.loop()) == 1
-    assert G.canonical_copies(G.double_edge()) == 4
-    assert G.canonical_copies(G.cycle_multi(3)) == 48
-    assert G.canonical_copies(G.path_multi(3)) == 24
+    assert O.canonical_copies(G.edge_multi()) == 2
+    assert O.canonical_copies(G.loop()) == 1
+    assert O.canonical_copies(G.double_edge()) == 4
+    assert O.canonical_copies(G.cycle_multi(3)) == 48
+    assert O.canonical_copies(G.path_multi(3)) == 24
     with pytest.raises(G.SizeCapError):
-        G.canonical_copies(G.path_multi(7))
+        O.canonical_copies(G.path_multi(7))
 
 
 def test_aut_count_examples():
@@ -121,10 +122,10 @@ def test_orbit_stabilizer_invariant():
     for f in shapes:
         if f.n > 4 or f.m > 4:
             continue
-        assert G.canonical_copies(f) * G.aut_count(f) == G.group_order(f), f
+        assert O.canonical_copies(f) * G.aut_count(f) == O.group_order(f), f
     # simple graphs: canonical copies * aut = n!
     for f in [G.edge_simple(), G.path_simple(3), G.cycle_simple(3), G.cycle_simple(4)]:
-        assert G.canonical_copies(f) * G.aut_count(f) == math.factorial(f.n)
+        assert O.canonical_copies(f) * G.aut_count(f) == math.factorial(f.n)
 
 
 def test_subgraph_count_examples():
@@ -167,6 +168,12 @@ def test_subgraph_copies_match_counts():
         host = sample_uniform_multigraph(int(rng.integers(2, 5)), int(rng.integers(0, 6)), rng).to_graph()
         for f in [G.edge_multi(), G.path_multi(3), G.cycle_multi(3)]:
             assert len(G.subgraph_copies(host, f)) == G.subgraph_count(host, f)
+    rng = derive_rng(29, 1)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        host = sample_uniform_simple(n, int(rng.integers(0, math.comb(n, 2) + 1)), rng).to_graph()
+        for f in [G.edge_simple(), G.path_simple(3), G.cycle_simple(3)]:
+            assert len(G.subgraph_copies(host, f)) == O.naive_subgraph_count(host, f), (host, f)
 
 
 def test_pair_family_edge():
@@ -188,19 +195,18 @@ def test_pair_family_rejects_disconnected():
         G.pair_family(disconnected)
 
 
-def test_strip_orientation_labels():
-    assert G.strip_orientation_labels(G.Multigraph(2, (1, 2))) == G.edge_simple()
-    assert G.strip_orientation_labels(G.Multigraph(3, (1, 2, 2, 3, 3, 1))) == G.cycle_simple(3)
-    with pytest.raises(ValueError):
-        G.strip_orientation_labels(G.double_edge())
-    with pytest.raises(ValueError):
-        G.strip_orientation_labels(G.loop())
-
-
 def test_graph_json_round_trip():
     for g in [G.cycle_multi(3), G.double_edge(), G.cycle_simple(4), G.SimpleGraph(3, [])]:
         back = G.graph_from_json(G.graph_to_json(g))
         assert back == g
+        # run_many pickles graphs across processes
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and back.kind == g.kind
+    multi, simple = G.Multigraph(2, (1, 2)), G.SimpleGraph(2, [(1, 2)])
+    assert multi != simple
+    G.aut_count.cache_clear()
+    assert G.aut_count(multi) == G.aut_count(simple) == 2
+    assert G.aut_count.cache_info().currsize == 2  # equal values, separate entries
 
 
 def test_immutability():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcensus import graphs as G
+from graphcensus import oracle as O
 from graphcensus.series import (
     TruncatedSeries,
     class_egf,
@@ -164,14 +165,14 @@ def test_class_egf_invariant():
     for f in [G.loop(), G.edge_multi(), G.double_edge(), G.path_multi(3), G.cycle_multi(3)]:
         egf = class_egf(f, f.n, f.m)
         expected = Fraction(
-            G.canonical_copies(f),
+            O.canonical_copies(f),
             math.factorial(f.n) * 2**f.m * math.factorial(f.m),
         )
         assert egf.extract({"z": f.n, "w": f.m}) == expected
     for f in [G.edge_simple(), G.cycle_simple(3), G.path_simple(3)]:
         egf = class_egf(f, f.n, f.m)
         assert egf.extract({"z": f.n, "w": f.m}) == Fraction(
-            G.canonical_copies(f), math.factorial(f.n)
+            O.canonical_copies(f), math.factorial(f.n)
         )
 
 
