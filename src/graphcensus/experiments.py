@@ -37,6 +37,7 @@ from .graphs import (  # noqa: F401
     Graph,
     Host,
     canonical_form,
+    run_sums,
     shape,
     subgraph_count,
     vertex_automorphisms,
@@ -118,13 +119,29 @@ def _spasm(name: str, kind: str) -> tuple:
     return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis.values() if coef)
 
 
-def _oriented(factor, N: int, first: bool):
+def _oriented(host: Host, factor, first: bool):
     """(x-side, y-side, values) of a factor stored for the pair (x, y) if
     ``first``, else for (y, x); sorted by the x-side when ``first`` or when
-    the factor is a symmetric M^k."""
+    the factor is a symmetric M^k, whose ends the host keeps."""
     codes, vals, k = factor
-    hi, lo = np.divmod(codes, N)
-    return (hi, lo, vals) if first or k is not None else (lo, hi, vals)
+    if k is not None:
+        return (*host.sym_ends, vals)
+    hi, lo = np.divmod(codes, host.N)
+    return (hi, lo, vals) if first else (lo, hi, vals)
+
+
+def _group(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """Distinct keys, sorted, and the sum of the nonnegative ``vals`` over
+    each: one sort of the packed ``key * top + value``, or an argsort where
+    that would pass int64 or the values are Python ints."""
+    if vals.dtype != object:
+        top = int(vals.max(initial=0)) + 1
+        if (int(keys.max(initial=0)) + 1) * top <= 2**63:
+            packed = np.sort(keys * top + vals)
+            keys = packed // top
+            return run_sums(keys, packed - keys * top)
+    order = np.argsort(keys)
+    return run_sums(keys[order], vals[order])
 
 
 def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
@@ -136,9 +153,10 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
     sparse values over host pairs coded a * N + b, with k set while the
     factor is still M^k itself.  A leaf folds into its neighbour's vector;
     a complete quotient of M^k factors closes over the host's cliques; a
-    degree-2 vertex becomes a factor over the walks through it, multiplied
-    into any factor already on that pair.  Any other core of minimum degree
-    3 raises NotImplementedError.
+    degree-2 vertex becomes a factor over the walks through it, which
+    ``_group`` sums per pair, multiplied into any factor already on that
+    pair.  The last factor is summed against its two end vectors.  Any
+    other core of minimum degree 3 raises NotImplementedError.
     """
     N = host.N
     w: list = [None] * q
@@ -147,9 +165,9 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
         if x == y:
             w[x] = host.lv.astype(dtype) ** k
         else:
-            fac[x, y] = (*host.edge(k, dtype), k)
+            fac[x, y] = (host.sym, host.edge(k, dtype), k)
     alive = set(range(q))
-    while len(alive) > 1:
+    while len(alive) > 2:
         nbrs: dict[int, list[int]] = {x: [] for x in alive}
         for x, y in fac:
             nbrs[x].append(y)
@@ -161,7 +179,7 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
             if w[x] is None and factor[2] is not None:
                 folded = host.power_sum(factor[2], dtype)
             else:
-                xs, ys, vals = _oriented(factor, N, x < y)
+                xs, ys, vals = _oriented(host, factor, x < y)
                 folded = np.zeros(N, dtype=dtype)
                 np.add.at(folded, ys, vals if w[x] is None else vals * w[x][xs])
             w[y] = folded if w[y] is None else w[y] * folded
@@ -177,21 +195,20 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
         )
         y, z = sorted(nbrs[x])
         xy, xz = fac.pop((min(x, y), max(x, y))), fac.pop((min(x, z), max(x, z)))
-        a1, b, v1 = _oriented(xy, N, x < y)
-        a2, c, v2 = _oriented(xz, N, x < z)
+        a1, b, v1 = _oriented(host, xy, x < y)
+        a2, c, v2 = _oriented(host, xz, x < z)
         if x > z and xz[2] is None:
             order = np.argsort(a2, kind="stable")
             a2, c, v2 = a2[order], c[order], v2[order]
+        # each entry (a1, b) meets every entry of the run a2 == a1
         per = np.bincount(a2, minlength=N)
         reps = per[a1]
         i = np.repeat(np.arange(a1.size), reps)
-        j = (np.cumsum(per) - per)[a1[i]] + np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        j = ((np.cumsum(per) - per)[a1] - (np.cumsum(reps) - reps))[i] + np.arange(i.size)
         vals = v1[i] * v2[j]
         if w[x] is not None:
             vals = vals * w[x][a1[i]]
-        codes, where = np.unique(b[i] * N + c[j], return_inverse=True)
-        summed = np.zeros(codes.size, dtype=dtype)
-        np.add.at(summed, where, vals)
+        codes, summed = _group(b[i] * N + c[j], vals)
         alive.remove(x)
         # each other bare vertex between y and z under the same M^k factors
         # would give the same walk factor: multiply it in once more instead
@@ -207,24 +224,31 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
             codes, i1, i2 = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
             summed = summed[i1] * old_vals[i2]
         fac[y, z] = (codes, summed, None)
-    (x,) = alive
-    return int(w[x].sum())
+    if len(alive) == 1:
+        return int(w[alive.pop()].sum())
+    ((x, y), factor), = fac.items()
+    vals = factor[1]
+    for v, side in ((x, 0), (y, 1)):
+        if w[v] is not None:
+            vals = vals * w[v][_oriented(host, factor, True)[side]]
+    return int(vals.sum())
 
 
 def _close_clique(host: Host, verts: list, fac: dict, w: list, dtype) -> int:
-    """Sum over the q! ways to lay the complete quotient on each host q-clique."""
+    """Sum over the q! ways to lay the complete quotient on each host
+    q-clique, computing each distinct layout (the exponent on each pair of
+    positions, the vertex weight at each position) once."""
     at, mult, _ = host.cliques(len(verts))
-    mult = {pair: m.astype(dtype) for pair, m in mult.items()}
-    total = 0
+    layouts: Counter = Counter()
     for perm in permutations(range(len(verts))):
-        term = np.ones(at[0].size, dtype=dtype)
-        for (x, y), (_, _, k) in fac.items():
-            i, j = sorted((perm[verts.index(x)], perm[verts.index(y)]))
-            term = term * mult[i, j] ** k
-        for pos, x in enumerate(verts):
-            if w[x] is not None:
-                term = term * w[x][at[perm[pos]]]
-        total += int(term.sum())
+        pos = dict(zip(verts, perm))
+        exps = tuple(sorted((*sorted((pos[x], pos[y])), k) for (x, y), (_, _, k) in fac.items()))
+        layouts[exps, tuple(sorted((pos[x], x) for x in verts if w[x] is not None))] += 1
+    total = 0
+    for (exps, weights), times in layouts.items():
+        factors = [mult[i, j].astype(dtype, copy=False) ** k for i, j, k in exps]
+        term = functools.reduce(np.multiply, factors + [w[x][at[p]] for p, x in weights])
+        total += times * int(term.sum())
     return total
 
 
@@ -388,11 +412,14 @@ class ExperimentConfig:
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         """Config from ``to_json`` output; its derived ``resolved_m`` is ignored."""
-        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        unknown = sorted(set(data) - fields - {"resolved_m"})
+        fields = dataclasses.fields(ExperimentConfig)
+        unknown = sorted(set(data) - {f.name for f in fields} - {"resolved_m"})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return ExperimentConfig(**{k: v for k, v in data.items() if k in fields})
+        missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        return ExperimentConfig(**{k: v for k, v in data.items() if k != "resolved_m"})
 
 
 @dataclass
@@ -471,8 +498,14 @@ def _resolve_workers(config: ExperimentConfig) -> int:
 
 
 def run_many(config: ExperimentConfig, patterns: list[str]) -> dict[str, ExperimentReport]:
-    """Run one experiment and count several patterns on the shared hosts."""
+    """Run one experiment and count several patterns on the shared hosts.
+
+    The ``_spasm`` bases are built first, so an unknown pattern is refused
+    before any host is sampled; only a fork-started pool inherits them.
+    """
     start_time = time.monotonic()
+    for pat in patterns:
+        _spasm(pat, config.kind())
     workers = _resolve_workers(config)
     r_total = config.replicates
     config_json = config.to_json()

@@ -135,6 +135,15 @@ def SimpleGraph(n: int, edges: Iterable[tuple[int, int]] = ()) -> Graph:
     return Graph(n, [x for u, v in edges for x in (u, v)], "simple")
 
 
+def run_sums(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """Each distinct key of the sorted ``keys`` once, and the sum of
+    ``vals`` over its run, as differences of one cumulative sum."""
+    last = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))[: keys.size]
+    sums = np.cumsum(vals)[last]
+    sums[1:] = sums[1:] - sums[:-1]
+    return keys[last], sums
+
+
 class Host:
     """A host as one int64 array: edge j joins ends[2j-2] and ends[2j-1].
 
@@ -145,12 +154,14 @@ class Host:
     The count arrays are built on the first count and kept, so a host costs
     O(m) until then, however large n is.  Over vertices 0..n (0 unused),
     ``lv`` and ``s1`` count loops and non-loop edge ends, and ``max_degree``
-    is the largest s1 + 2 lv.  The non-loop pairs pu < pv, multiplicity pk,
-    are coded ``pu * N + pv`` (N = n + 1) in sorted ``codes``; ``sym`` holds
-    both orientations, sorted, with ``mult`` alongside.
+    is the largest s1 + 2 lv.  Each non-loop edge, in both orientations
+    (a, b), is coded ``a * N + b`` (N = n + 1); one sort of the codes and
+    ``run_sums`` give the distinct pairs ``sym`` and their multiplicities
+    ``mult``, and the two ends ``sym_ends`` are kept, so no count divides
+    a code back into its ends.
     """
 
-    _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "codes", "pk", "pu", "pv", "sym", "mult"))
+    _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "sym", "sym_ends", "mult"))
 
     def __init__(self, n: int, ends, kind: str = "multigraph"):
         if kind not in ("multigraph", "simple"):
@@ -167,7 +178,7 @@ class Host:
             u, v = self.ends[0::2], self.ends[1::2]
             if (u == v).any():
                 raise ValueError("loops are not allowed in a simple graph")
-            codes = np.sort(self._pair_codes(u, v))
+            codes = np.sort(self._pair_codes(np.minimum(u, v), np.maximum(u, v)))
             if (codes[1:] == codes[:-1]).any():
                 raise ValueError("repeated pairs are not allowed in a simple graph")
         self.ends.flags.writeable = False
@@ -181,26 +192,23 @@ class Host:
         self._build_count_arrays()
         return self.__dict__[name]
 
-    def _pair_codes(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """min * N + max of each pair; refused where int64 would overflow."""
+    def _pair_codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * N + b of each pair; refused where int64 would overflow."""
         if self.n * self.N >= 2**63:
             raise ValueError(f"n = {self.n} is too large for int64 pair codes")
-        return np.minimum(u, v) * self.N + np.maximum(u, v)
+        return a * self.N + b
 
     def _build_count_arrays(self):
         u, v = self.ends[0::2], self.ends[1::2]
         keep = u != v
-        self.codes, pk = np.unique(self._pair_codes(u[keep], v[keep]), return_counts=True)
+        a, b = np.concatenate((u[keep], v[keep])), np.concatenate((v[keep], u[keep]))
+        codes = np.sort(self._pair_codes(a, b))
         self.lv = np.bincount(u[~keep], minlength=self.N)
-        u, v = u[keep], v[keep]
-        self.pk = pk.astype(np.int64)
-        self.pu, self.pv = np.divmod(self.codes, self.N)
-        self.s1 = np.bincount(np.concatenate((u, v)), minlength=self.N)
+        self.s1 = np.bincount(a, minlength=self.N)
         self.max_degree = int((self.s1 + 2 * self.lv).max(initial=0))
-        sym = np.concatenate((self.codes, self.pv * self.N + self.pu))
-        order = np.argsort(sym)
-        self.sym = sym[order]
-        self.mult = np.concatenate((self.pk, self.pk))[order]
+        self.sym, self.mult = run_sums(codes, np.ones(codes.size, dtype=np.int64))
+        a = self.sym // self.N
+        self.sym_ends = (a, self.sym - a * self.N)
 
     @property
     def m(self) -> int:
@@ -229,19 +237,21 @@ class Host:
         """The equal ``Graph``, for the exact layer."""
         return Graph(self.n, self.ends.tolist(), self.kind)
 
-    def edge(self, k: int, dtype) -> tuple:
-        """The factor M^k over ``sym``: (codes, values)."""
+    def edge(self, k: int, dtype) -> np.ndarray:
+        """The values of the factor M^k over ``sym``."""
         key = ("edge", k, dtype)
         if key not in self._memo:
-            self._memo[key] = (self.sym, self.mult.astype(dtype) ** k)
+            self._memo[key] = self.mult.astype(dtype) ** k
         return self._memo[key]
 
     def power_sum(self, k: int, dtype) -> np.ndarray:
-        """Per-vertex sum over neighbours b of M[a, b]^k."""
+        """Per-vertex sum over neighbours b of M[a, b]^k, one run of the
+        sorted ``sym`` per vertex a."""
         key = ("sum", k, dtype)
         if key not in self._memo:
             out = np.zeros(self.N, dtype=dtype)
-            np.add.at(out, self.sym // self.N, self.edge(k, dtype)[1])
+            a, sums = run_sums(self.sym_ends[0], self.edge(k, dtype))
+            out[a] = sums
             self._memo[key] = out
         return self._memo[key]
 
@@ -260,29 +270,26 @@ class Host:
         if key not in self._memo:
             N = self.N
             if q == 2:
-                rank = np.empty(N, dtype=np.int64)
-                rank[np.lexsort((np.arange(N), self.s1))] = np.arange(N)
-                up = rank[self.pu] < rank[self.pv]
-                x = np.where(up, self.pu, self.pv)
-                order = np.argsort(x, kind="stable")
-                y = np.where(up, self.pv, self.pu)[order]
-                self._memo[key] = ([x[order], y], {(0, 1): self.pk[order]}, np.arange(x.size))
+                a, b = self.sym_ends  # each pair once, from lower (s1, id) to higher
+                sa, sb = self.s1[a], self.s1[b]
+                up = (sa < sb) | ((sa == sb) & (a < b))
+                self._memo[key] = ([a[up], b[up]], {(0, 1): self.mult[up]}, np.arange(np.count_nonzero(up)))
             else:
                 (ox, oy), out, _ = self.cliques(2)
                 verts, mult, last = self.cliques(q - 1)
-                later = np.searchsorted(ox, ox[last], side="right") - last - 1
+                later = np.cumsum(np.bincount(ox, minlength=N))[ox[last]] - last - 1
                 i = np.repeat(np.arange(last.size), later)
-                nxt = last[i] + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+                nxt = (last + 1 - (np.cumsum(later) - later))[i] + np.arange(i.size)
                 found: list = []
                 for t in range(1, q - 1):
                     want = self._pair_codes(verts[t][i], oy[nxt])
-                    pos = np.minimum(np.searchsorted(self.codes, want), self.codes.size - 1)
-                    hit = self.codes[pos] == want
+                    pos = np.minimum(np.searchsorted(self.sym, want), self.sym.size - 1)
+                    hit = self.sym[pos] == want
                     i, nxt = i[hit], nxt[hit]
                     found = [p[hit] for p in found] + [pos[hit]]
                 mult = {pair: m[i] for pair, m in mult.items()}
                 mult[0, q - 1] = out[0, 1][nxt]
-                mult.update({(t, q - 1): self.pk[p] for t, p in enumerate(found, start=1)})
+                mult.update({(t, q - 1): self.mult[p] for t, p in enumerate(found, start=1)})
                 self._memo[key] = ([v[i] for v in verts] + [oy[nxt]], mult, nxt)
         return self._memo[key]
 

@@ -243,6 +243,12 @@ def test_experiment_run_and_sweep(tmp_path):
     assert len(lines) == 3
 
 
+def test_experiment_config_without_seed_is_a_usage_error(capsys, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": "uniform-multi", "n": 20, "m": 5, "pattern": "loop", "replicates": 2}))
+    assert "missing config keys: seed" in _usage_error(capsys, "experiment", "run", "--config", str(cfg_path))
+
+
 def test_graph_json_pattern(capsys):
     shape_json = '{"kind": "multigraph", "n": 2, "edges": [[1, 2]]}'
     out = run_cli(capsys, "exact", "--n", "2", "--m", "1", "--family", shape_json)

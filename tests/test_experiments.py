@@ -1,14 +1,25 @@
 import dataclasses
 import json
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from graphcensus import experiments as E
 from graphcensus import graphs as G
 from graphcensus import oracle as O
 from graphcensus.experiments import ExperimentConfig
-from graphcensus.models import derive_rng, sample_uniform_multigraph, sample_uniform_simple
+from graphcensus.models import (
+    DegreeDistribution,
+    WeightSpec,
+    derive_rng,
+    sample_configuration,
+    sample_delta_multigraph,
+    sample_uniform_multigraph,
+    sample_uniform_simple,
+)
 from graphcensus.specialfuncs import poisson_pmf
 
 
@@ -49,6 +60,43 @@ def test_simple_counters_match_engine():
         expected = tuple(G.subgraph_count(g, G.shape(p, "simple")) for p in names)
         assert E.count_patterns(g, names) == expected, g
         assert E.count_pattern(g, "edge") == g.m
+
+
+@pytest.mark.parametrize("key_top, val_top, dtype", [
+    (50, 1000, np.int64),  # packed into one int64 sort
+    (50, 2**70, object),  # Python-int values
+    (2**40, 2**30, np.int64),  # key * top would pass int64
+])
+def test_group_sums_each_key(key_top, val_top, dtype):
+    rng = random.Random(7)
+    for size in (0, 1, 3000):
+        keys = np.array([rng.randrange(key_top) for _ in range(size)], dtype=np.int64)
+        vals = np.array([rng.randrange(val_top) for _ in range(size)], dtype=dtype)
+        want: Counter = Counter()
+        for k, v in zip(keys.tolist(), vals.tolist()):
+            want[k] += v
+        codes, sums = E._group(keys, vals)
+        assert sums.dtype == np.dtype(dtype)
+        assert codes.tolist() == sorted(want) and sums.tolist() == [want[k] for k in sorted(want)]
+
+
+def test_counts_match_subgraph_count_on_larger_hosts():
+    # hundreds of vertices, so that many two-walks share a pair of ends
+    cubic = WeightSpec.from_json("finite:1,1,1,1")
+    power_law = DegreeDistribution.from_weight_spec(WeightSpec.from_json("powerlaw:2.5"), 1.0)
+    samplers = [
+        lambda n, rng: sample_uniform_multigraph(n, 5 * n // 4, rng),
+        lambda n, rng: sample_uniform_simple(n, 3 * n // 2, rng),
+        lambda n, rng: sample_delta_multigraph(n, 3 * n // 4, cubic, rng),
+        lambda n, rng: sample_configuration(n, power_law, rng),
+    ]
+    for i, sample in enumerate(samplers):
+        for n in (60, 120):
+            host = sample(n, derive_rng(23, 10 * i + n))
+            names = MULTI_NAMES if host.kind == "multigraph" else SIMPLE_NAMES + ["k4"]
+            g = host.to_graph()
+            expected = tuple(G.subgraph_count(g, G.shape(p, host.kind)) for p in names)
+            assert E.count_patterns(host, names) == expected, (i, n)
 
 
 def test_every_builtin_shape_is_counted_without_subgraph_count(monkeypatch):
@@ -270,6 +318,8 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json({**data, "replicats": 99})
     with pytest.raises(ValueError, match="statistic"):
         ExperimentConfig.from_json({**data, "statistic": "median"})
+    with pytest.raises(ValueError, match="missing config keys: pattern, seed"):
+        ExperimentConfig.from_json({k: v for k, v in data.items() if k not in ("pattern", "seed")})
 
 
 def test_run_refuses_to_drop_patterns():
@@ -281,6 +331,13 @@ def test_run_refuses_to_drop_patterns():
     one = E.run(dataclasses.replace(cfg, pattern=["c3"]))
     assert one.pattern == "c3"
     assert one.empirical_pmf == E.run_many(cfg, ["loop", "c3"])["c3"].empirical_pmf
+
+
+def test_run_many_refuses_an_unknown_pattern_before_sampling(monkeypatch):
+    monkeypatch.setattr(E, "_replicate_counts", lambda *args: pytest.fail("a host was sampled"))
+    cfg = ExperimentConfig(model="uniform-simple", n=10, m=5, pattern="loop", replicates=8, seed=1, workers=1)
+    with pytest.raises(ValueError, match="unknown simple shape 'loop'"):
+        E.run_many(cfg, ["c3", "loop"])
 
 
 def test_config_takes_m_or_m_rule_not_both():
