@@ -136,7 +136,7 @@ def _group(keys: np.ndarray, vals: np.ndarray) -> tuple:
     that would pass int64 or the values are Python ints."""
     if vals.dtype != object:
         top = int(vals.max(initial=0)) + 1
-        if (int(keys.max(initial=0)) + 1) * top <= 2**63:
+        if (int(keys.max(initial=0)) + 1) * top < 2**63:
             packed = np.sort(keys * top + vals)
             keys = packed // top
             return run_sums(keys, packed - keys * top)

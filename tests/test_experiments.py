@@ -81,7 +81,7 @@ def test_group_sums_each_key(key_top, val_top, dtype):
 
 
 def test_counts_match_subgraph_count_on_larger_hosts():
-    # hundreds of vertices, so that many two-walks share a pair of ends
+    # hosts of 60 and 120 vertices, on which many two-walks share a pair of ends
     cubic = WeightSpec.from_json("finite:1,1,1,1")
     power_law = DegreeDistribution.from_weight_spec(WeightSpec.from_json("powerlaw:2.5"), 1.0)
     samplers = [
