@@ -178,8 +178,10 @@ class Host:
             u, v = self.ends[0::2], self.ends[1::2]
             if (u == v).any():
                 raise ValueError("loops are not allowed in a simple graph")
-            codes = np.sort(self._pair_codes(np.minimum(u, v), np.maximum(u, v)))
-            if (codes[1:] == codes[:-1]).any():
+            # a repeated pair repeats both its oriented codes; the sorted
+            # codes are kept for the first count
+            self._codes = self._sorted_codes(u, v)
+            if (self._codes[1:] == self._codes[:-1]).any():
                 raise ValueError("repeated pairs are not allowed in a simple graph")
         self.ends.flags.writeable = False
         self._memo: dict = {}
@@ -198,11 +200,17 @@ class Host:
             raise ValueError(f"n = {self.n} is too large for int64 pair codes")
         return a * self.N + b
 
+    def _sorted_codes(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The sorted codes of the non-loop edges (u, v) in both orientations."""
+        return np.sort(self._pair_codes(np.concatenate((u, v)), np.concatenate((v, u))))
+
     def _build_count_arrays(self):
         u, v = self.ends[0::2], self.ends[1::2]
         keep = u != v
-        a, b = np.concatenate((u[keep], v[keep])), np.concatenate((v[keep], u[keep]))
-        codes = np.sort(self._pair_codes(a, b))
+        a = np.concatenate((u[keep], v[keep]))
+        codes = self.__dict__.pop("_codes", None)
+        if codes is None:
+            codes = self._sorted_codes(u[keep], v[keep])
         self.lv = np.bincount(u[~keep], minlength=self.N)
         self.s1 = np.bincount(a, minlength=self.N)
         self.max_degree = int((self.s1 + 2 * self.lv).max(initial=0))

@@ -16,9 +16,11 @@ worker scheduling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -249,6 +251,7 @@ class DegreeDistribution:
         head = int(np.searchsorted(self.cum, 1.0 - 2e-3, side="left")) + 1
         self.head_len = min(max(head, 1), min(256, len(self.cum)))
         self.head_cum = self.cum[: self.head_len]
+        self.head_top = float(self.head_cum[-1])  # a draw at or past it misses the head table
         self.sum_tables: tuple | None = None  # ((n, total), tables) of the last _sum_tables call
 
     @staticmethod
@@ -315,8 +318,8 @@ class DegreeDistribution:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         out = self.head_cum.searchsorted(u, side="right")
-        miss = (out == self.head_len).nonzero()[0]  # past the head table
-        if miss.size:
+        if size and (max(u.tolist()) if size <= _SHORT else u.max()) >= self.head_top:
+            miss = (out == self.head_len).nonzero()[0]  # past the head table
             top = len(self.probs)
             if self.head_len < top:
                 out[miss] = self.cum.searchsorted(u[miss], side="right")
@@ -489,10 +492,21 @@ def sample_configuration(
     ``sample_delta_multigraph`` does (``_conditioned_degrees``).  Half-edge
     pairing is uniform, so with pi = pi_x the output law equals the
     Boltzmann sampler's law.
+
+    n degrees sum to an even number with probability (1 + b^n) / 2, where
+    b = sum_d (-1)^d pi(d) is at least its value over the table minus the
+    tail mass.  That is at least 1/2 for even n and rises with b for odd n,
+    so a pi whose bound is below 10 / ``REJECTION_CAP`` is refused before
+    any draw, rather than rejecting odd sums until the cap.
     """
     if m is None:
-        if n % 2 and not pi.tail_mass and (np.flatnonzero(pi.probs) % 2).all():
-            raise ValueError(f"{n} degrees from a support of odd degrees never sum to an even number")
+        low = float(pi.probs[0::2].sum() - pi.probs[1::2].sum()) - pi.tail_mass
+        p_even = (1 + max(low, -1.0) ** n) / 2
+        if p_even < 10 / REJECTION_CAP:
+            raise ValueError(
+                f"{n} degrees from this pmf sum to an even number with probability P(even) = {p_even:.3g}, "
+                f"too rare to reject odd sums until one is even"
+            )
         for _ in range(REJECTION_CAP):
             degrees = pi.sample(rng, n)
             total = int(degrees.sum())
@@ -509,6 +523,7 @@ _DIRECT_CONVOLVE_MAX = 1 << 18  # len(a) * len(b) up to which np.convolve beats 
 _MULTINOMIAL_MAX = 1 << 14  # largest len(pi) / pi^{*n}(total) sent to multinomial rejection
 _TV_TOLERANCE = 1e-4  # total variation per host allowed to float tables: below the noise of 10^8 hosts
 _EPS = float(np.finfo(float).eps)
+_SHORT = 64  # arrays up to this length are reduced in Python, not by a numpy call
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, top: int) -> tuple[np.ndarray, float]:
@@ -536,13 +551,18 @@ def _split_weights(a: np.ndarray, b: np.ndarray, t: int) -> tuple[int, np.ndarra
 
 
 def _draw_split(rng: np.random.Generator, a: np.ndarray, b: np.ndarray, t: int) -> int:
-    """s with probability proportional to a(s) b(t - s)."""
+    """s with probability proportional to a(s) b(t - s).
+
+    ``np.cumsum`` adds in order, as ``accumulate`` does, so a short weight
+    list summed in Python floats gives the same cumulative sums.
+    """
     lo, w = _split_weights(a, b, t)
-    cum = np.cumsum(w)
-    if not cum[-1] > 0:  # only float noise gave this block its sum t
+    cum = list(accumulate(w.tolist())) if len(w) <= _SHORT else np.cumsum(w)
+    total = float(cum[-1])
+    if not total > 0:  # only float noise gave this block its sum t
         raise RuntimeError(f"float tables gave weight to a sum of probability 0 (t = {t})")
-    k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    if k == len(w):  # u * cum[-1] rounded up to cum[-1]
+    k = bisect_right(cum, rng.random() * total)
+    if k == len(w):  # u * total rounded up to total
         k = int(np.flatnonzero(w)[-1])
     return lo + k
 
@@ -605,6 +625,40 @@ def _sum_tables(dist: DegreeDistribution, n: int, total: int) -> tuple:
     return tables
 
 
+class _UniformTape:
+    """The uniform doubles of ``rng``, read ahead and handed out in order.
+
+    A numpy Generator gives the same doubles from ``random(a)`` then
+    ``random(b)`` as from one ``random(a + b)``, so a draw from the tape is
+    the draw ``rng`` would have made, at the cost of one slice.  ``rewind``
+    restores the state the tape started from and redraws the doubles handed
+    out, which leaves ``rng`` where one call per draw would have left it,
+    whatever its bit generator.
+    """
+
+    def __init__(self, rng: np.random.Generator, ahead: int):
+        self._rng, self._ahead = rng, ahead
+        self._start = rng.bit_generator.state
+        self._buf = rng.random(ahead)
+        self._pos = 0
+        self._spent = 0  # doubles handed out from buffers before this one
+
+    def random(self, size=None):
+        pos = self._pos
+        end = pos + (1 if size is None else size)
+        if end > len(self._buf):  # top up: the unread rest, then a fresh read-ahead
+            rest = self._buf[pos:]
+            self._buf = np.concatenate((rest, self._rng.random(max(self._ahead, end - pos))))
+            self._spent += pos
+            pos, end = 0, end - pos
+        self._pos = end
+        return self._buf.item(pos) if size is None else self._buf[pos:end]
+
+    def rewind(self):
+        self._rng.bit_generator.state = self._start
+        self._rng.random(self._spent + self._pos)
+
+
 def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.random.Generator) -> np.ndarray:
     """n iid draws from ``dist`` conditioned on summing to ``total``, exactly.
 
@@ -630,6 +684,15 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
 
     A block of one vertex gets degree t.  Given exact tables the output has
     exactly the conditioned law; the tables are floats.
+
+    Stream contract of the split path.  It reads nothing from ``rng`` but
+    uniform doubles, in order: ``dist.sample`` (with ``_sample_tail``), the
+    accept draws and ``_draw_split`` all take them from one
+    ``_UniformTape``, which reads about 4n ahead in one call and at the end
+    rewinds ``rng`` to just past the doubles used.  The degrees and the
+    generator's end state are those of one ``rng.random`` call per draw;
+    the tape only saves the calls, about 165 ``dist.sample`` and 43
+    ``_draw_split`` calls a host on the beta = 2.5 power law at n = 1000.
 
     Float error budget.  Tables past ``_DIRECT_CONVOLVE_MAX`` are built by
     numpy.fft, which errs by about e_c = eps log2(N) ||a||_2 ||b||_2 per
@@ -665,11 +728,12 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
                 rng.shuffle(degrees)
                 return degrees
             batch = min(2 * batch, 8192)
+    tape = _UniformTape(rng, min(4 * n, 1 << 16))  # about 3n doubles a power-law host
     degrees = np.empty(n, dtype=np.int64)
     todo = []  # blocks (first vertex, j, sum) still to split
     start = 0
     for j, rest in blocks:
-        s = _draw_split(rng, levels[j], rest, total)
+        s = _draw_split(tape, levels[j], rest, total)
         todo.append((start, j, s))
         start += 1 << j
         total -= s
@@ -679,16 +743,17 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
             degrees[start] = t
             continue
         half, peak, h = levels[j - 1], peaks[j - 1], 1 << (j - 1)
-        if levels[j][t] * 8 >= peak:
+        if levels[j].item(t) * 8 >= peak:
             while True:
-                left = dist.sample(rng, h)
-                s = int(left.sum())
-                if s <= t and t - s < len(half) and rng.random() * peak < half[t - s]:
+                left = dist.sample(tape, h)
+                s = sum(left.tolist()) if h <= _SHORT else int(left.sum())
+                if s <= t and t - s < len(half) and tape.random() * peak < half.item(t - s):
                     break
             degrees[start : start + h] = left
             todo.append((start + h, j - 1, t - s))
         else:
-            s = _draw_split(rng, half, half, t)
+            s = _draw_split(tape, half, half, t)
             todo.append((start + h, j - 1, t - s))
             todo.append((start, j - 1, s))
+    tape.rewind()
     return degrees

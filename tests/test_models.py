@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -378,16 +379,42 @@ def test_free_m_odd_support_refused_before_sampling(monkeypatch):
     assert sample_configuration(4, DegreeDistribution.from_pmf([0.0, 1.0]), derive_rng(79, 4)).m == 2
 
 
-class _MultinomialSpy:
-    """A generator that counts its multinomial calls and passes every call on."""
+def test_free_m_rare_even_sum_refused_before_sampling(monkeypatch):
+    # n degrees sum to an even number with probability (1 + b^n) / 2, where
+    # b = sum_d (-1)^d pi(d); here about 3e-12, some 10^11 vectors per host
+    def no_draws(self, rng, size):
+        raise AssertionError("an even sum this rare must be refused before any draw")
+
+    monkeypatch.setattr(DegreeDistribution, "sample", no_draws)
+    with pytest.raises(ValueError, match=r"P\(even\) = 3(\.\d+)?e-12"):
+        sample_configuration(3, DegreeDistribution.from_pmf([0.0, 1 - 1e-12, 1e-12]), derive_rng(83, 3))
+    # a tail of either parity only lowers the bound: the table's b = -(1 - 1e-9)
+    # less the tail mass 1e-9 leaves no room for an even sum
+    tailed = DegreeDistribution(np.array([0.0, 1 - 1e-9]), tail_beta=2.5, tail_mass=1e-9)
+    with pytest.raises(ValueError, match=r"P\(even\) = 0"):
+        sample_configuration(3, tailed, derive_rng(83, 4))
+    monkeypatch.undo()
+    # P(even) about 3e-4 is rare but reachable: about 3300 vectors
+    host = sample_configuration(3, DegreeDistribution.from_pmf([0.0, 1 - 1e-4, 1e-4]), derive_rng(83, 5))
+    assert sum(host.degrees()) % 2 == 0 and 2 in host.degrees()
+
+
+class _GeneratorSpy:
+    """A generator that counts its multinomial calls, records the size of
+    each random call, and passes every call on."""
 
     def __init__(self, rng):
         self.rng = rng
         self.multinomial_calls = 0
+        self.random_sizes = []
 
     def multinomial(self, *args, **kwargs):
         self.multinomial_calls += 1
         return self.rng.multinomial(*args, **kwargs)
+
+    def random(self, size=None):
+        self.random_sizes.append(size)
+        return self.rng.random(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -396,7 +423,7 @@ class _MultinomialSpy:
 def _check_degree_law(n, m, pi, law, reps, seed):
     """Degree-vector frequencies within 3.5 sigma of ``law``; returns the multinomial calls."""
     counts = Counter()
-    rng = _MultinomialSpy(derive_rng(seed, 0))
+    rng = _GeneratorSpy(derive_rng(seed, 0))
     for _ in range(reps):
         counts[sample_configuration(n, pi, rng, m=m).degrees()] += 1
     assert set(counts) <= set(law), (n, m)
@@ -490,6 +517,62 @@ def test_conditioned_power_law_hosts_at_n_1000():
         assert host.m == 974 and min(degrees) >= 1 and sum(degrees) == 2 * 974
 
 
+# Per host: the first 16 hex digits of sha256(host.ends) and the generator's
+# next double after the host.  Recorded from the split path as it drew each
+# uniform by its own call, so any change to the stream or to where it leaves
+# the generator shows here.
+_SPLIT_STREAM_N1000 = [  # sample_configuration(1000, power law 2.5, derive_rng(1, r), m=974), r = 1..20
+    ("b9639b3ca5216bc6", "0x1.8349009604ce9p-1"), ("dedbba494cd8ad28", "0x1.c21700dad1b41p-1"),
+    ("7253c258a10fbdfb", "0x1.ff5bd5f4fd184p-1"), ("2968e83c011f2139", "0x1.ca1c0907f7319p-1"),
+    ("ee5f319b6a319474", "0x1.f1ae2641e8a80p-3"), ("1e677cf7e194519e", "0x1.5f09f537cabfap-2"),
+    ("8a400dbf4d6925ac", "0x1.6631512badd1bp-1"), ("a988327db32166ee", "0x1.b6717f49c4906p-2"),
+    ("fcd823734bea41f9", "0x1.71333aa1d85e0p-2"), ("c4095536cff54cca", "0x1.da4f6600170d4p-1"),
+    ("114539006e80d4d8", "0x1.ddbd1d1fafcb5p-1"), ("4b57f46970bbcdcc", "0x1.42c17533ee096p-2"),
+    ("f3360155b33a6424", "0x1.dc78f989c956ap-1"), ("4fec3e255198f9c4", "0x1.e95105a5b4ffbp-1"),
+    ("00d3fef0e7a20aa2", "0x1.3561222a5ccbfp-1"), ("bc9104d30dba1d0a", "0x1.207ee4b16a103p-1"),
+    ("7ebad6b07f0e5ac1", "0x1.95ab57ffd2454p-3"), ("264e743a4b79c740", "0x1.21d7e453a4681p-1"),
+    ("add11a9351f55d92", "0x1.c0e4ceef0df00p-1"), ("f9b5489dda32adef", "0x1.0bd98c1e9741cp-1"),
+]
+
+
+def _host_pin(host, rng):
+    return hashlib.sha256(host.ends.astype("<i8").tobytes()).hexdigest()[:16], rng.random().hex()
+
+
+def test_split_path_stream_is_pinned():
+    spec = WeightSpec.power_law(2.5)
+    pi = DegreeDistribution.from_weight_spec(spec, 1.0)
+    for r, want in enumerate(_SPLIT_STREAM_N1000, start=1):
+        rng = derive_rng(1, r)
+        assert _host_pin(sample_configuration(1000, pi, rng, m=974), rng) == want, r
+    # criterion 10's larger size, through the delta sampler
+    n = 10_000
+    m = round(n * zeta(1.5) / (2 * zeta(2.5)))
+    for r, want in ((1, ("afc29272403c390a", "0x1.67f8ad3419687p-1")), (2, ("5723dab4b7b4cdd8", "0x1.5307be9757c3cp-3"))):
+        rng = derive_rng(20260809, r)
+        assert _host_pin(sample_delta_multigraph(n, m, spec, rng), rng) == want, r
+    # another bit generator, which makes each double from two 32-bit words
+    rng = np.random.Generator(np.random.MT19937(5))
+    assert _host_pin(sample_configuration(1000, pi, rng, m=974), rng) == ("55434f11db7e7e3d", "0x1.c2dde539b5ef0p-1")
+
+
+def test_split_path_stream_is_pinned_past_the_read_ahead():
+    # hosts that use more uniforms than the sampler reads ahead (4n), so the
+    # generator is read again in mid-host: random is called for the
+    # read-ahead, at least once more, and once to rewind
+    pi = DegreeDistribution.from_weight_spec(WeightSpec.power_law(2.5), 1.0)
+    cases = (
+        (7, 5, derive_rng(2, 0), ("dcbf19de52d9e91b", "0x1.6291bc9031899p-1")),
+        (37, 30, derive_rng(9, 0), ("9f24834ea52c1e18", "0x1.686e985935388p-1")),
+        (1000, 974, derive_rng(1, 17), _SPLIT_STREAM_N1000[16]),
+    )
+    for n, m, rng, want in cases:
+        spy = _GeneratorSpy(rng)
+        host = sample_configuration(n, pi, spy, m=m)
+        assert len(spy.random_sizes) > 2, n
+        assert _host_pin(host, rng) == want, n
+
+
 def test_fft_tables_match_direct_with_exact_zeros(monkeypatch):
     # FFT noise must not leave weight on sums no k degrees reach: below k * d_min,
     # and off the lattice of a support with gaps (odd degrees: k + 2Z)
@@ -532,7 +615,7 @@ def test_power_law_delta_sampler_off_the_mean():
     spec = WeightSpec.power_law(2.5)
     assert not M._cached_distribution(spec, M._tuning_for_sampler(spec, 10_000, 7500)).tail_mass
     for seed in range(3):
-        rng = _MultinomialSpy(derive_rng(113, seed))
+        rng = _GeneratorSpy(derive_rng(113, seed))
         host = sample_delta_multigraph(10_000, 7500, spec, rng)
         assert host.m == 7500 and min(host.degrees()) >= 1 and rng.multinomial_calls == 0
 
