@@ -688,7 +688,7 @@ def _conditioned_degrees(n: int, total: int, dist: DegreeDistribution, rng: np.r
     Stream contract of the split path.  It reads nothing from ``rng`` but
     uniform doubles, in order: ``dist.sample`` (with ``_sample_tail``), the
     accept draws and ``_draw_split`` all take them from one
-    ``_UniformTape``, which reads about 4n ahead in one call and at the end
+    ``_UniformTape``, which reads up to 4n ahead in one call and at the end
     rewinds ``rng`` to just past the doubles used.  The degrees and the
     generator's end state are those of one ``rng.random`` call per draw;
     the tape only saves the calls, about 165 ``dist.sample`` and 43
