@@ -25,6 +25,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .graphs import (  # noqa: F401
     Graph,
     Host,
     canonical_form,
+    range_pairs,
     run_sums,
     shape,
     subgraph_count,
@@ -119,15 +121,54 @@ def _spasm(name: str, kind: str) -> tuple:
     return divisor, f.m, tuple((coef, q, edges) for coef, _, q, edges in basis.values() if coef)
 
 
-def _oriented(host: Host, factor, first: bool):
+class _Factor(NamedTuple):
+    """A quotient edge's values over host pairs coded a * N + b.
+
+    ``k`` is set while the factor is still M^k itself, over ``host.sym``.
+    ``diag`` is set on a symmetric walk factor, which keeps its pairs a < b
+    and its diagonal as a vector over host vertices; any other factor holds
+    its pairs oriented as its quotient edge."""
+
+    codes: np.ndarray
+    vals: np.ndarray
+    k: int | None = None
+    diag: np.ndarray | None = None
+
+
+def _both_ways(host: Host, f: _Factor) -> tuple:
+    """(codes, values) of a factor over its pairs, sorted by code: a
+    symmetric walk factor's pairs a < b, mirrored, and its nonzero
+    diagonal; any other factor's as stored."""
+    if f.diag is None:
+        return f.codes, f.vals
+    hi, lo = np.divmod(f.codes, host.N)
+    d = np.flatnonzero(f.diag)
+    codes = np.concatenate((f.codes, lo * host.N + hi, d * (host.N + 1)))
+    order = np.argsort(codes)
+    return codes[order], np.concatenate((f.vals, f.vals, f.diag[d]))[order]
+
+
+def _oriented(host: Host, f: _Factor, first: bool):
     """(x-side, y-side, values) of a factor stored for the pair (x, y) if
     ``first``, else for (y, x); sorted by the x-side when ``first`` or when
-    the factor is a symmetric M^k, whose ends the host keeps."""
-    codes, vals, k = factor
-    if k is not None:
-        return (*host.sym_ends, vals)
+    the factor is symmetric (M^k, whose ends the host keeps, or a walk)."""
+    if f.k is not None:
+        return (*host.sym_ends, f.vals)
+    codes, vals = _both_ways(host, f)
     hi, lo = np.divmod(codes, host.N)
-    return (hi, lo, vals) if first else (lo, hi, vals)
+    return (hi, lo, vals) if first or f.diag is not None else (lo, hi, vals)
+
+
+def _fold(host: Host, k: int, w, dtype) -> np.ndarray:
+    """Per host vertex a, the sum over b of M[a, b]^k w[b] (w None: all
+    ones), one run of the sorted ``sym`` per vertex a."""
+    if w is None:
+        return host.power_sum(k, dtype)
+    out = np.zeros(host.N, dtype=dtype)
+    a, b = host.sym_ends
+    keys, sums = run_sums(a, host.edge(k, dtype) * w[b])
+    out[keys] = sums
+    return out
 
 
 def _group(keys: np.ndarray, vals: np.ndarray) -> tuple:
@@ -149,14 +190,18 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
     and L^k per loop entry.
 
     Each quotient vertex x carries a vector w[x] over host vertices (None
-    for all ones) and each quotient edge x < y a factor (codes, values, k):
-    sparse values over host pairs coded a * N + b, with k set while the
-    factor is still M^k itself.  A leaf folds into its neighbour's vector;
-    a complete quotient of M^k factors closes over the host's cliques; a
-    degree-2 vertex becomes a factor over the walks through it, which
-    ``_group`` sums per pair, multiplied into any factor already on that
-    pair.  The last factor is summed against its two end vectors.  Any
-    other core of minimum degree 3 raises NotImplementedError.
+    for all ones) and each quotient edge x < y a ``_Factor``.  A leaf folds
+    into its neighbour's vector; a complete quotient of M^k factors closes
+    over the host's cliques; a degree-2 vertex becomes a factor over the
+    walks through it, which ``_group`` sums per pair, multiplied into any
+    factor already on that pair.  Between two equal M^k factors the walk
+    factor is symmetric: it is built from each unordered pair of entries of
+    a run of ``sym`` once, with its diagonal the vector of M^2k folded
+    against w[x], and kept in that form while squared, met with another
+    symmetric factor or summed last (twice its pairs plus its diagonal);
+    it is mirrored into both orientations only for a later walk or fold.
+    The last factor is summed against its two end vectors.  Any other core
+    of minimum degree 3 raises NotImplementedError.
     """
     N = host.N
     w: list = [None] * q
@@ -165,7 +210,7 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
         if x == y:
             w[x] = host.lv.astype(dtype) ** k
         else:
-            fac[x, y] = (host.sym, host.edge(k, dtype), k)
+            fac[x, y] = _Factor(host.sym, host.edge(k, dtype), k)
     alive = set(range(q))
     while len(alive) > 2:
         nbrs: dict[int, list[int]] = {x: [] for x in alive}
@@ -175,36 +220,43 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
         x = min(alive, key=lambda v: (len(nbrs[v]), v))
         if len(nbrs[x]) == 1:
             y = nbrs[x][0]
-            factor = fac.pop((min(x, y), max(x, y)))
-            if w[x] is None and factor[2] is not None:
-                folded = host.power_sum(factor[2], dtype)
+            f = fac.pop((min(x, y), max(x, y)))
+            if f.k is not None:
+                folded = _fold(host, f.k, w[x], dtype)
             else:
-                xs, ys, vals = _oriented(host, factor, x < y)
+                xs, ys, vals = _oriented(host, f, x < y)
                 folded = np.zeros(N, dtype=dtype)
                 np.add.at(folded, ys, vals if w[x] is None else vals * w[x][xs])
             w[y] = folded if w[y] is None else w[y] * folded
             alive.remove(x)
             continue
-        if len(fac) == math.comb(len(alive), 2) and all(f[2] is not None for f in fac.values()):
+        if len(fac) == math.comb(len(alive), 2) and all(f.k is not None for f in fac.values()):
             return _close_clique(host, sorted(alive), fac, w, dtype)
         if len(nbrs[x]) > 2:
             raise NotImplementedError(f"no rule counts homomorphisms of the core {sorted(fac)}")
         x = min(
             (v for v in alive if len(nbrs[v]) == 2),
-            key=lambda v: math.prod(fac[min(v, y), max(v, y)][0].size for y in nbrs[v]),
+            key=lambda v: math.prod(fac[min(v, y), max(v, y)].codes.size for y in nbrs[v]),
         )
         y, z = sorted(nbrs[x])
         xy, xz = fac.pop((min(x, y), max(x, y))), fac.pop((min(x, z), max(x, z)))
-        a1, b, v1 = _oriented(host, xy, x < y)
-        a2, c, v2 = _oriented(host, xz, x < z)
-        if x > z and xz[2] is None:
-            order = np.argsort(a2, kind="stable")
-            a2, c, v2 = a2[order], c[order], v2[order]
-        # each entry (a1, b) meets every entry of the run a2 == a1
-        per = np.bincount(a2, minlength=N)
-        reps = per[a1]
-        i = np.repeat(np.arange(a1.size), reps)
-        j = ((np.cumsum(per) - per)[a1] - (np.cumsum(reps) - reps))[i] + np.arange(i.size)
+        if xy.k is not None and xy.k == xz.k:
+            # each pair of entries (a, b), (a, c) of a run of sym once, b < c
+            a1, b = host.sym_ends
+            c, v1, v2 = b, xy.vals, xy.vals
+            i, j = range_pairs(np.arange(1, a1.size + 1), np.cumsum(np.bincount(a1, minlength=N))[a1])
+            diag = _fold(host, 2 * xy.k, w[x], dtype)
+        else:
+            a1, b, v1 = _oriented(host, xy, x < y)
+            a2, c, v2 = _oriented(host, xz, x < z)
+            if x > z and xz.k is None and xz.diag is None:
+                order = np.argsort(a2)
+                a2, c, v2 = a2[order], c[order], v2[order]
+            # each entry (a1, b) meets every entry of the run a2 == a1
+            per = np.bincount(a2, minlength=N)
+            ends = np.cumsum(per)
+            i, j = range_pairs((ends - per)[a1], ends[a1])
+            diag = None
         vals = v1[i] * v2[j]
         if w[x] is not None:
             vals = vals * w[x][a1[i]]
@@ -212,25 +264,36 @@ def _hom(host: Host, q: int, edges: tuple, dtype) -> int:
         alive.remove(x)
         # each other bare vertex between y and z under the same M^k factors
         # would give the same walk factor: multiply it in once more instead
-        if w[x] is None and xy[2] is not None and xz[2] is not None:
-            walk = summed
+        if w[x] is None and xy.k is not None and xz.k is not None:
+            walk, walk_diag = summed, diag
             for v in [v for v in alive if sorted(nbrs[v]) == [y, z] and w[v] is None]:
-                if (fac[min(v, y), max(v, y)][2], fac[min(v, z), max(v, z)][2]) == (xy[2], xz[2]):
+                if (fac[min(v, y), max(v, y)].k, fac[min(v, z), max(v, z)].k) == (xy.k, xz.k):
                     del fac[min(v, y), max(v, y)], fac[min(v, z), max(v, z)]
                     alive.remove(v)
                     summed = summed * walk
+                    diag = None if diag is None else diag * walk_diag
+        new = _Factor(codes, summed, None, diag)
         if (y, z) in fac:
-            old_codes, old_vals, _ = fac[y, z]
+            old = fac[y, z]
+            if diag is not None and (old.k is not None or old.diag is not None):
+                # both symmetric: meet on the pairs b < c (M's diagonal is zero)
+                diag = diag * old.diag if old.diag is not None else np.zeros_like(diag)
+                old_codes, old_vals = old.codes, old.vals
+            else:
+                (codes, summed), (old_codes, old_vals) = _both_ways(host, new), _both_ways(host, old)
+                diag = None
             codes, i1, i2 = np.intersect1d(codes, old_codes, assume_unique=True, return_indices=True)
-            summed = summed[i1] * old_vals[i2]
-        fac[y, z] = (codes, summed, None)
+            new = _Factor(codes, summed[i1] * old_vals[i2], None, diag)
+        fac[y, z] = new
     if len(alive) == 1:
         return int(w[alive.pop()].sum())
-    ((x, y), factor), = fac.items()
-    vals = factor[1]
-    for v, side in ((x, 0), (y, 1)):
+    ((x, y), f), = fac.items()
+    if f.diag is not None and w[x] is None and w[y] is None:
+        return 2 * int(f.vals.sum()) + int(f.diag.sum())
+    xs, ys, vals = _oriented(host, f, True)
+    for v, side in ((x, xs), (y, ys)):
         if w[v] is not None:
-            vals = vals * w[v][_oriented(host, factor, True)[side]]
+            vals = vals * w[v][side]
     return int(vals.sum())
 
 
@@ -242,7 +305,7 @@ def _close_clique(host: Host, verts: list, fac: dict, w: list, dtype) -> int:
     layouts: Counter = Counter()
     for perm in permutations(range(len(verts))):
         pos = dict(zip(verts, perm))
-        exps = tuple(sorted((*sorted((pos[x], pos[y])), k) for (x, y), (_, _, k) in fac.items()))
+        exps = tuple(sorted((*sorted((pos[x], pos[y])), f.k) for (x, y), f in fac.items()))
         layouts[exps, tuple(sorted((pos[x], x) for x in verts if w[x] is not None))] += 1
     total = 0
     for (exps, weights), times in layouts.items():

@@ -144,6 +144,14 @@ def run_sums(keys: np.ndarray, vals: np.ndarray) -> tuple:
     return keys[last], sums
 
 
+def range_pairs(start: np.ndarray, stop: np.ndarray) -> tuple:
+    """Index arrays (i, j) holding every j with start[i] <= j < stop[i],
+    in order of i and then j."""
+    size = stop - start
+    i = np.repeat(np.arange(start.size), size)
+    return i, (start - (np.cumsum(size) - size))[i] + np.arange(i.size)
+
+
 class Host:
     """A host as one int64 array: edge j joins ends[2j-2] and ends[2j-1].
 
@@ -158,10 +166,13 @@ class Host:
     (a, b), is coded ``a * N + b`` (N = n + 1); one sort of the codes and
     ``run_sums`` give the distinct pairs ``sym`` and their multiplicities
     ``mult``, and the two ends ``sym_ends`` are kept, so no count divides
-    a code back into its ends.
+    a code back into its ends.  ``parallel`` indexes the entries of ``sym``
+    with M > 1, few on sampled hosts and none on simple ones: a power M^k
+    differs from M only there, so ``edge`` and ``power_sum`` start from
+    ``mult`` and ``s1`` and change only those entries.
     """
 
-    _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "sym", "sym_ends", "mult"))
+    _COUNT_ARRAYS = frozenset(("lv", "s1", "max_degree", "sym", "sym_ends", "mult", "parallel"))
 
     def __init__(self, n: int, ends, kind: str = "multigraph"):
         if kind not in ("multigraph", "simple"):
@@ -217,6 +228,7 @@ class Host:
         self.sym, self.mult = run_sums(codes, np.ones(codes.size, dtype=np.int64))
         a = self.sym // self.N
         self.sym_ends = (a, self.sym - a * self.N)
+        self.parallel = np.flatnonzero(self.mult > 1)
 
     @property
     def m(self) -> int:
@@ -249,17 +261,19 @@ class Host:
         """The values of the factor M^k over ``sym``."""
         key = ("edge", k, dtype)
         if key not in self._memo:
-            self._memo[key] = self.mult.astype(dtype) ** k
+            out = self.mult.astype(dtype)
+            out[self.parallel] = out[self.parallel] ** k
+            self._memo[key] = out
         return self._memo[key]
 
     def power_sum(self, k: int, dtype) -> np.ndarray:
-        """Per-vertex sum over neighbours b of M[a, b]^k, one run of the
-        sorted ``sym`` per vertex a."""
+        """Per-vertex sum over neighbours b of M[a, b]^k: ``s1`` plus
+        M^k - M at each parallel pair."""
         key = ("sum", k, dtype)
         if key not in self._memo:
-            out = np.zeros(self.N, dtype=dtype)
-            a, sums = run_sums(self.sym_ends[0], self.edge(k, dtype))
-            out[a] = sums
+            out = self.s1.astype(dtype)
+            p = self.parallel
+            np.add.at(out, self.sym_ends[0][p], self.edge(k, dtype)[p] - self.mult[p].astype(dtype))
             self._memo[key] = out
         return self._memo[key]
 
@@ -268,26 +282,27 @@ class Host:
         of the pair at positions (i, j), i < j, and the out-pair that ends
         the clique.
 
-        Pairs point from lower (s1, id) to higher and are grouped by their
-        lower end.  A clique is found once, at its lowest vertex x, as
-        out-pairs of x at increasing positions: each (q-1)-clique found at x
-        is extended by every later out-pair of x whose far end is joined to
-        all the clique's other vertices.
+        Pairs point from lower (s1, id) to higher, ranked by the one key
+        s1 * N + id, and are grouped by their lower end.  A clique is found
+        once, at its lowest vertex x, as out-pairs of x at increasing
+        positions: each (q-1)-clique found at x is extended by every later
+        out-pair of x whose far end is joined to all the clique's other
+        vertices.
         """
         key = ("clique", q)
         if key not in self._memo:
             N = self.N
             if q == 2:
-                a, b = self.sym_ends  # each pair once, from lower (s1, id) to higher
-                sa, sb = self.s1[a], self.s1[b]
-                up = (sa < sb) | ((sa == sb) & (a < b))
-                self._memo[key] = ([a[up], b[up]], {(0, 1): self.mult[up]}, np.arange(np.count_nonzero(up)))
+                if (self.max_degree + 1) * N > 2**63:
+                    raise ValueError(f"degree {self.max_degree} is too large for int64 vertex ranks")
+                rank = self.s1 * N + np.arange(N)
+                a, b = self.sym_ends
+                up = np.flatnonzero(rank[a] < rank[b])  # each pair once
+                self._memo[key] = ([a[up], b[up]], {(0, 1): self.mult[up]}, np.arange(up.size))
             else:
                 (ox, oy), out, _ = self.cliques(2)
                 verts, mult, last = self.cliques(q - 1)
-                later = np.cumsum(np.bincount(ox, minlength=N))[ox[last]] - last - 1
-                i = np.repeat(np.arange(last.size), later)
-                nxt = (last + 1 - (np.cumsum(later) - later))[i] + np.arange(i.size)
+                i, nxt = range_pairs(last + 1, np.cumsum(np.bincount(ox, minlength=N))[ox[last]])
                 found: list = []
                 for t in range(1, q - 1):
                     want = self._pair_codes(verts[t][i], oy[nxt])

@@ -127,6 +127,74 @@ def test_every_builtin_shape_is_counted_without_subgraph_count(monkeypatch):
         assert E.count_patterns(g, names) == expected, g
 
 
+def _dense_hom(g, q: int, edges: tuple) -> int:
+    """Sum over all maps V(Q) -> V(g) of the product of M^k, L^k on loops,
+    summed term by term by np.einsum over dense matrices."""
+    n = g.n
+    M = np.zeros((n, n), dtype=np.int64)
+    L = np.zeros(n, dtype=np.int64)
+    for (a, b), k in g.pair_multiplicities().items():
+        if a == b:
+            L[a - 1] = k
+        else:
+            M[a - 1, b - 1] = M[b - 1, a - 1] = k
+    letters = "abcdefgh"
+    subs = [letters[x] if x == y else letters[x] + letters[y] for x, y, _ in edges] + list(letters[:q])
+    ops = [L**k if x == y else M**k for x, y, k in edges] + [np.ones(n, dtype=np.int64)] * q
+    return int(np.einsum(",".join(subs) + "->", *ops))
+
+
+# quotients that no builtin shape's basis holds: two weighted vertices
+# between the same pair (symmetric walk factors that meet, with and without
+# an M factor already on that pair), a weighted 4-cycle with a chord, and a
+# 5-cycle of unequal powers whose walk factors are walked from their larger end
+_EXTRA_QUOTIENTS = [
+    (4, ((0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1), (2, 2, 1), (3, 3, 2))),
+    (4, ((0, 1, 1), (0, 2, 2), (1, 2, 2), (0, 3, 2), (1, 3, 2), (2, 2, 1), (3, 3, 1))),
+    (5, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1), (3, 4, 2), (4, 4, 1))),
+    (5, ((0, 2, 1), (0, 3, 2), (1, 3, 2), (1, 4, 1), (2, 4, 2), (3, 4, 2))),
+]
+
+
+def test_each_basis_term_matches_a_direct_sum():
+    rng = derive_rng(37, 0)
+    hosts = [sample_uniform_simple(5, 8, rng).to_graph(), sample_uniform_simple(5, 10, rng).to_graph()]
+    for n in (4, 5, 5):
+        # loops, and parallel classes of 3 or more
+        seq = list(sample_uniform_multigraph(n, 5, rng).edge_seq)
+        for _ in range(2):
+            a, b = (int(v) for v in rng.integers(1, n + 1, size=2))
+            seq += [a, b] * int(rng.integers(3, 5))
+        hosts.append(G.Multigraph(n, seq))
+    classes = [(a == b, k) for g in hosts for (a, b), k in g.pair_multiplicities().items()]
+    assert any(loop and k >= 3 for loop, k in classes) and any(not loop and k >= 3 for loop, k in classes)
+    terms = {(q, edges) for kind, names in (("multigraph", G._MULTI_SHAPES), ("simple", G._SIMPLE_SHAPES))
+             for name in names for _, q, edges in E._spasm(name, kind)[2]}
+    for g in hosts:
+        host = G.Host(g.n, g.edge_seq, "multigraph")
+        for q, edges in sorted(terms) + _EXTRA_QUOTIENTS:
+            want = _dense_hom(g, q, edges)
+            for dtype in (np.int64, object):
+                assert E._hom(host, q, edges, dtype) == want, (g, q, edges, dtype)
+
+
+# copies of (c3, p4, c4) on uniform simple hosts (2000, 2000) and of
+# (c3, p3, k13) on cubic-weight hosts (3000, 2250), replicates 1..10 of seed 1
+_PINNED_SIMPLE = [(1, 7646, 1), (1, 7953, 0), (0, 7839, 2), (4, 7885, 3), (0, 8181, 1),
+                  (1, 7792, 1), (2, 7642, 0), (0, 7610, 3), (1, 8193, 3), (0, 8093, 0)]
+_PINNED_CUBIC = [(1, 2589, 549), (0, 2588, 553), (3, 2629, 565), (1, 2548, 531), (0, 2594, 550),
+                 (0, 2606, 579), (0, 2607, 560), (0, 2572, 553), (0, 2567, 547), (0, 2622, 580)]
+
+
+def test_counts_at_benchmark_size_are_pinned():
+    cubic = WeightSpec.from_json("finite:1,1,1,1")
+    simple = [E.count_patterns(sample_uniform_simple(2000, 2000, derive_rng(1, r)), ["c3", "p4", "c4"])
+              for r in range(1, 11)]
+    multi = [E.count_patterns(sample_delta_multigraph(3000, 2250, cubic, derive_rng(1, r)), ["c3", "p3", "k13"])
+             for r in range(1, 11)]
+    assert simple == _PINNED_SIMPLE and multi == _PINNED_CUBIC
+
+
 def test_host_counts_equal_its_graph_counts():
     rng = derive_rng(31, 0)
     hosts = [sample_uniform_multigraph(9, 14, rng), sample_uniform_simple(9, 20, rng)]
