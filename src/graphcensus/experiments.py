@@ -161,13 +161,12 @@ def _oriented(host: Host, f: _Factor, first: bool):
 
 def _fold(host: Host, k: int, w, dtype) -> np.ndarray:
     """Per host vertex a, the sum over b of M[a, b]^k w[b] (w None: all
-    ones), one run of the sorted ``sym`` per vertex a."""
+    ones)."""
     if w is None:
         return host.power_sum(k, dtype)
     out = np.zeros(host.N, dtype=dtype)
     a, b = host.sym_ends
-    keys, sums = run_sums(a, host.edge(k, dtype) * w[b])
-    out[keys] = sums
+    np.add.at(out, a, host.edge(k, dtype) * w[b])
     return out
 
 
